@@ -1642,18 +1642,19 @@ let prev_candidate_ids (cfg : Prev_crf.config) cands (m : Prev_crf.model)
      shared guarded symbol table + int-keyed counts. The decoded
      candidate sets must be identical.
 
-   - model save+load: the v2 text format (kept writer + loader)
-     against the v3 binary sections, for both the CRF and the SGNS
-     model. v3 must round-trip byte-identically and both loads must
-     predict byte-identically to the in-memory model.
+   - model save+load: the v4 model file, copy-loaded and map-loaded,
+     for both the CRF and the SGNS model. It must round-trip
+     byte-identically and every load must predict byte-identically to
+     the in-memory model.
 
    - heap: live words held by the train-ready state, old vs new, plus
      the process peak (top_heap_words).
 
-   Full runs enforce >=1.5x on encode and >=2x on both model loads;
-   --quick only checks the identities. Results go to BENCH_intern.json. *)
+   Full runs enforce >=1.5x on encode and >=5x for map-load over
+   copy-load; --quick only checks the identities. Results go to
+   BENCH_intern.json. *)
 let intern_bench () =
-  header "Interned pipeline - shared symbol table and binary v3 models vs pre-PR";
+  header "Interned pipeline - shared symbol table and v4 model files vs pre-PR";
   let timed f =
     let run () =
       let t0 = Unix.gettimeofday () in
@@ -1756,7 +1757,7 @@ let intern_bench () =
   Printf.printf "%-24s %12.3f %12.3f %7.2fx  %b  (%d graphs)\n%!" "encode"
     t_enc_old t_enc_new enc_speedup (!failures = 0) (List.length graphs);
 
-  (* Model save+load: v2 text vs v3 binary. *)
+  (* Model save+load. *)
   let model = Crf.Train.train ~config:tcfg graphs in
 
   (* jobs=1 training is byte-identical run to run (the symbol tables it
@@ -1779,28 +1780,18 @@ let intern_bench () =
   let p0 = preds model in
   check "jobs=1 predictions not byte-identical across runs" (preds model2 = p0);
 
-  let v2_path = "bench_model_v2.tmp" and v3_path = "bench_model_v3.tmp" in
-  let (), t_save_v2 =
-    timed (fun () ->
-        let oc = open_out_bin v2_path in
-        Crf.Serialize.to_channel_v2 model oc;
-        close_out oc)
-  in
-  let (), t_save_v3 = timed (fun () -> Crf.Serialize.save model v3_path) in
-  let m_v2, t_load_v2 = timed (fun () -> Crf.Serialize.load_exn v2_path) in
-  let m_v3, t_load_v3 = timed (fun () -> Crf.Serialize.load_exn v3_path) in
-  let bytes_v3 = Crf.Serialize.to_string model in
-  check "crf v3 round-trip not byte-identical"
-    (String.equal bytes_v3 (Crf.Serialize.to_string m_v3));
-  check "crf v2-loaded model predicts differently" (preds m_v2 = p0);
-  check "crf v3-loaded model predicts differently" (preds m_v3 = p0);
+  let crf_path = "bench_model.tmp" in
+  let (), t_save = timed (fun () -> Crf.Serialize.save model crf_path) in
+  let m_loaded, t_load = timed (fun () -> Crf.Serialize.load_exn crf_path) in
+  check "crf round-trip not byte-identical"
+    (String.equal (Crf.Serialize.to_string model)
+       (Crf.Serialize.to_string m_loaded));
+  check "crf loaded model predicts differently" (preds m_loaded = p0);
   let file_size path = (Unix.stat path).Unix.st_size in
-  let crf_size_v2 = file_size v2_path and crf_size_v3 = file_size v3_path in
-  let crf_load_speedup = t_load_v2 /. t_load_v3 in
-  Printf.printf "%-24s %12.3f %12.3f %7.2fx  (v2 %d B, v3 %d B)\n%!" "crf-save"
-    t_save_v2 t_save_v3 (t_save_v2 /. t_save_v3) crf_size_v2 crf_size_v3;
-  Printf.printf "%-24s %12.3f %12.3f %7.2fx\n%!" "crf-load" t_load_v2 t_load_v3
-    crf_load_speedup;
+  let crf_size = file_size crf_path in
+  Printf.printf "%-24s %12s %12.3f %8s  (%d B)\n%!" "crf-save" "" t_save ""
+    crf_size;
+  Printf.printf "%-24s %12s %12.3f\n%!" "crf-load" "" t_load;
 
   let w2v_pairs =
     List.concat_map
@@ -1813,41 +1804,21 @@ let intern_bench () =
   in
   let sgns_cfg = Word2vec.Sgns.default_config in
   let w2v = Word2vec.Sgns.train ~config:sgns_cfg w2v_pairs in
-  let w2_path = "bench_w2v_v2.tmp" and w3_path = "bench_w2v_v3.tmp" in
-  let (), t_wsave_v2 =
-    timed (fun () ->
-        let oc = open_out_bin w2_path in
-        Word2vec.Serialize.to_channel_v2 w2v oc;
-        close_out oc)
+  let w2v_path = "bench_w2v.tmp" in
+  let (), t_wsave = timed (fun () -> Word2vec.Serialize.save w2v w2v_path) in
+  let w_loaded, t_wload =
+    timed (fun () -> Word2vec.Serialize.load_exn w2v_path)
   in
-  let (), t_wsave_v3 = timed (fun () -> Word2vec.Serialize.save w2v w3_path) in
-  let w_v2, t_wload_v2 = timed (fun () -> Word2vec.Serialize.load_exn w2_path) in
-  let w_v3, t_wload_v3 = timed (fun () -> Word2vec.Serialize.load_exn w3_path) in
-  check "w2v v3 round-trip not byte-identical"
+  check "w2v round-trip not byte-identical"
     (String.equal (Word2vec.Serialize.to_string w2v)
-       (Word2vec.Serialize.to_string w_v3));
-  (* v2 text rounds vectors to 9 significant digits; only v3 carries
-     the exact bits. *)
-  let near a b =
-    Array.length a = Array.length b
-    && Array.for_all2
-         (fun va vb ->
-           Array.length va = Array.length vb
-           && Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-6) va vb)
-         a b
-  in
-  check "w2v v2-loaded vectors differ beyond text precision"
-    (near w_v2.Word2vec.Sgns.word_vecs w2v.Word2vec.Sgns.word_vecs
-    && near w_v2.Word2vec.Sgns.context_vecs w2v.Word2vec.Sgns.context_vecs);
-  check "w2v v3-loaded vectors differ"
-    (w_v3.Word2vec.Sgns.word_vecs = w2v.Word2vec.Sgns.word_vecs
-    && w_v3.Word2vec.Sgns.context_vecs = w2v.Word2vec.Sgns.context_vecs);
-  let w2v_size_v2 = file_size w2_path and w2v_size_v3 = file_size w3_path in
-  let w2v_load_speedup = t_wload_v2 /. t_wload_v3 in
-  Printf.printf "%-24s %12.3f %12.3f %7.2fx  (v2 %d B, v3 %d B)\n%!" "w2v-save"
-    t_wsave_v2 t_wsave_v3 (t_wsave_v2 /. t_wsave_v3) w2v_size_v2 w2v_size_v3;
-  Printf.printf "%-24s %12.3f %12.3f %7.2fx\n%!" "w2v-load" t_wload_v2
-    t_wload_v3 w2v_load_speedup;
+       (Word2vec.Serialize.to_string w_loaded));
+  check "w2v loaded vectors differ"
+    (w_loaded.Word2vec.Sgns.word_vecs = w2v.Word2vec.Sgns.word_vecs
+    && w_loaded.Word2vec.Sgns.context_vecs = w2v.Word2vec.Sgns.context_vecs);
+  let w2v_size = file_size w2v_path in
+  Printf.printf "%-24s %12s %12.3f %8s  (%d B)\n%!" "w2v-save" "" t_wsave ""
+    w2v_size;
+  Printf.printf "%-24s %12s %12.3f\n%!" "w2v-load" "" t_wload;
 
   (* Zero-copy mmap loaders, against the same v4 files: map-load walks
      only headers and weight keys and wires the float runs to Bigarray
@@ -1874,13 +1845,13 @@ let intern_bench () =
         (Word2vec.Sgns.view_of w2v, Lexkit.Storage.heap)
   in
   let (m_mapped, crf_map_storage), t_map_crf =
-    timed (fun () -> map_load_crf v3_path)
+    timed (fun () -> map_load_crf crf_path)
   in
   check "crf map-load downgraded to a heap copy"
     (Lexkit.Storage.mapped_bytes crf_map_storage > 0);
-  let crf_map_speedup = t_load_v3 /. t_map_crf in
+  let crf_map_speedup = t_load /. t_map_crf in
   Printf.printf "%-24s %12.3f %12.3f %7.2fx  (copy-load vs map-load)\n%!"
-    "crf-map-load" t_load_v3 t_map_crf crf_map_speedup;
+    "crf-map-load" t_load t_map_crf crf_map_speedup;
   (* First batch after a map-load pays the lazy checksum verification
      plus the page faults — the cost the O(header) load deferred.
      Single run by construction: only the first batch is "first". *)
@@ -1891,7 +1862,7 @@ let intern_bench () =
   Printf.printf "%-24s %12.3f %12s  (deferred checksums + faults)\n%!"
     "map-first-batch" t_first_batch "";
   let (w2v_view, w2v_map_storage), t_map_w2v =
-    timed (fun () -> map_load_w2v w3_path)
+    timed (fun () -> map_load_w2v w2v_path)
   in
   check "w2v map-load downgraded to a heap copy"
     (Lexkit.Storage.mapped_bytes w2v_map_storage > 0);
@@ -1899,9 +1870,9 @@ let intern_bench () =
     (String.equal
        (Word2vec.Serialize.to_string (Word2vec.Sgns.heap_of_view w2v_view))
        (Word2vec.Serialize.to_string w2v));
-  let w2v_map_speedup = t_wload_v3 /. t_map_w2v in
+  let w2v_map_speedup = t_wload /. t_map_w2v in
   Printf.printf "%-24s %12.3f %12.3f %7.2fx  (copy-load vs map-load)\n%!"
-    "w2v-map-load" t_wload_v3 t_map_w2v w2v_map_speedup;
+    "w2v-map-load" t_wload t_map_w2v w2v_map_speedup;
   (* Resident-set delta for holding 1 vs 3 mapped models open at once;
      mappings of one file share pages, so the marginal model should
      cost far less than its file size. Reported, not asserted — RSS is
@@ -1931,10 +1902,10 @@ let intern_bench () =
   in
   Gc.compact ();
   let rss0 = rss_kb () in
-  let one_model = Sys.opaque_identity (map_load_crf v3_path) in
+  let one_model = Sys.opaque_identity (map_load_crf crf_path) in
   let rss1 = rss_kb () in
   let more_models =
-    Sys.opaque_identity [ map_load_crf v3_path; map_load_crf v3_path ]
+    Sys.opaque_identity [ map_load_crf crf_path; map_load_crf crf_path ]
   in
   let rss3 = rss_kb () in
   let rss_delta_1 = if rss0 < 0 || rss1 < 0 then -1 else rss1 - rss0 in
@@ -1943,7 +1914,7 @@ let intern_bench () =
   ignore (Sys.opaque_identity more_models);
   Printf.printf "%-24s %+11dkB %+11dkB  (RSS delta: 1 vs 3 mapped models)\n%!"
     "map-resident" rss_delta_1 rss_delta_3;
-  List.iter Sys.remove [ v2_path; v3_path; w2_path; w3_path ];
+  List.iter Sys.remove [ crf_path; w2v_path ];
 
   (* Heap: live words held by the train-ready state — the counts, the
      vocabulary (interner / symbol table), the encoded factor arrays
@@ -1982,7 +1953,7 @@ let intern_bench () =
 
   (* Floors: full runs only — quick workloads are too small to time.
      Quick runs still surface any miss as a visible warning line. *)
-  let encode_floor = 1.5 and load_floor = 2.0 and map_floor = 5.0 in
+  let encode_floor = 1.5 and map_floor = 5.0 in
   let floor_enforced = not !quick in
   let floor_check name speedup floor =
     if floor_enforced then
@@ -1994,8 +1965,6 @@ let intern_bench () =
         name speedup floor
   in
   floor_check "encode" enc_speedup encode_floor;
-  floor_check "crf model-load" crf_load_speedup load_floor;
-  floor_check "w2v model-load" w2v_load_speedup load_floor;
   floor_check "crf map-load" crf_map_speedup map_floor;
   floor_check "w2v map-load" w2v_map_speedup map_floor;
   if not floor_enforced then
@@ -2009,19 +1978,13 @@ let intern_bench () =
      %.4f, \"speedup\": %.2f},\n"
     (List.length graphs) t_enc_old t_enc_new enc_speedup;
   Printf.fprintf oc
-    "  \"crf_model\": {\"v2_bytes\": %d, \"v3_bytes\": %d,\n\
-    \                \"save_v2_seconds\": %.4f, \"save_v3_seconds\": %.4f,\n\
-    \                \"load_v2_seconds\": %.4f, \"load_v3_seconds\": %.4f, \
-     \"load_speedup\": %.2f},\n"
-    crf_size_v2 crf_size_v3 t_save_v2 t_save_v3 t_load_v2 t_load_v3
-    crf_load_speedup;
+    "  \"crf_model\": {\"bytes\": %d, \"save_seconds\": %.4f, \
+     \"load_seconds\": %.4f},\n"
+    crf_size t_save t_load;
   Printf.fprintf oc
-    "  \"w2v_model\": {\"v2_bytes\": %d, \"v3_bytes\": %d,\n\
-    \                \"save_v2_seconds\": %.4f, \"save_v3_seconds\": %.4f,\n\
-    \                \"load_v2_seconds\": %.4f, \"load_v3_seconds\": %.4f, \
-     \"load_speedup\": %.2f},\n"
-    w2v_size_v2 w2v_size_v3 t_wsave_v2 t_wsave_v3 t_wload_v2 t_wload_v3
-    w2v_load_speedup;
+    "  \"w2v_model\": {\"bytes\": %d, \"save_seconds\": %.4f, \
+     \"load_seconds\": %.4f},\n"
+    w2v_size t_wsave t_wload;
   Printf.fprintf oc
     "  \"heap\": {\"old_live_words\": %d, \"new_live_words\": %d, \
      \"peak_heap_words\": %d},\n"
@@ -2034,10 +1997,9 @@ let intern_bench () =
     \           \"first_batch_seconds\": %.4f,\n\
     \           \"rss_delta_1_model_kb\": %d, \"rss_delta_3_models_kb\": %d, \
      \"map_floor\": %.1f},\n"
-    t_load_v3 t_map_crf crf_map_speedup t_wload_v3 t_map_w2v w2v_map_speedup
+    t_load t_map_crf crf_map_speedup t_wload t_map_w2v w2v_map_speedup
     t_first_batch rss_delta_1 rss_delta_3 map_floor;
   Printf.fprintf oc "  \"encode_floor\": %.1f,\n" encode_floor;
-  Printf.fprintf oc "  \"load_floor\": %.1f,\n" load_floor;
   Printf.fprintf oc "  \"floors_enforced\": %b,\n" floor_enforced;
   Printf.fprintf oc "  \"failures\": %d\n}\n" !failures;
   close_out oc;

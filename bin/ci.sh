@@ -1,7 +1,10 @@
 #!/bin/sh
-# CI smoke test: full build, the tier-1 test suite (run twice: once as
-# configured, once with a 2-job ambient pool so every job-invariance
-# contract is exercised under real worker domains), a bounded fuzz
+# CI smoke test: full build, the tier-1 test suite (run three times:
+# once as configured, then the whole suite again at PIGEON_JOBS=1 and
+# at PIGEON_JOBS=4, so every job-invariance contract is exercised
+# under real worker domains and a failure that depends on the host's
+# core count shows up on any host), a path-limit usage smoke (bad
+# --max-length / --max-width exit 2 without an exception), a bounded fuzz
 # pass over the front-ends and model loaders, the fault-injection
 # bench (10%-corrupt corpora must train with exact skip tallies), the
 # parallel-scaling bench (regenerates BENCH_parallel.json; determinism
@@ -9,10 +12,10 @@
 # training-kernels bench (old-vs-new CRF/SGNS kernels; quick mode
 # checks equivalence only, full runs also enforce the 2x floor and
 # refresh BENCH_train.json), the interned-pipeline bench (string
-# pipeline vs shared symbol table, v2 text vs v3 binary models: v3
-# round-trips byte-identically and both loads predict identically;
-# full runs also enforce the encode/load floors and refresh
-# BENCH_intern.json), the v3 round-trip/corruption tests (part of
+# pipeline vs shared symbol table; v4 models round-trip
+# byte-identically and copy-loads and map-loads predict identically;
+# full runs also enforce the encode/map-load floors and refresh
+# BENCH_intern.json), the v4 round-trip/corruption tests (part of
 # test_serialize, run under dune runtest), the micro benchmark
 # (which also regenerates BENCH_extract.json and checks the iterator
 # engine against the naive baseline corpus-wide), the serve tests
@@ -21,7 +24,9 @@
 # replies, engine errors, accept drops, overload, reload under load),
 # a live daemon smoke (train a model, start `pigeon serve` on a Unix
 # socket, mixed well-formed/hostile burst through `pigeon client`,
-# clean shutdown), lifecycle smokes (wire + SIGHUP hot reload,
+# clean shutdown), an old-format smoke (a model whose magic line names
+# version 3 makes `pigeon serve` exit non-zero with a retrain
+# diagnostic, no exception), lifecycle smokes (wire + SIGHUP hot reload,
 # SIGTERM drain with socket unlink, client exit-code contract, fail-
 # fast PIGEON_FAULTS parsing), registry smokes (two models served side
 # by side, predict by name, LRU eviction under a tiny --max-mapped-bytes
@@ -45,8 +50,27 @@ cd "$(dirname "$0")/.."
 
 dune build
 dune runtest
-PIGEON_JOBS=2 dune exec test/test_parallel.exe
-PIGEON_JOBS=2 dune exec test/test_core.exe
+PIGEON_JOBS=1 dune runtest --force
+PIGEON_JOBS=4 dune runtest --force
+
+# ---- path-limit usage errors: exit 2, a message, no exception ----
+LIMITS_DIR=$(mktemp -d /tmp/pigeon-ci-limits.XXXXXX)
+echo "var x = 1;" >"$LIMITS_DIR/a.js"
+for flag in --max-length=0 --max-width=-1; do
+  set +e
+  dune exec bin/pigeon_cli.exe -- paths "$flag" "$LIMITS_DIR/a.js" \
+    2>"$LIMITS_DIR/err"
+  rc=$?
+  set -e
+  if [ "$rc" -ne 2 ] || grep -qi exception "$LIMITS_DIR/err"; then
+    echo "paths smoke: $flag gave exit $rc (want 2)" >&2
+    cat "$LIMITS_DIR/err" >&2
+    exit 1
+  fi
+done
+rm -rf "$LIMITS_DIR"
+echo "paths limits smoke: ok"
+
 PIGEON_FUZZ_COUNT=400 dune exec test/test_fuzz.exe
 dune exec bench/main.exe -- --quick fault
 dune exec bench/main.exe -- --quick parallel
@@ -121,6 +145,21 @@ if [ -e "$SOCK" ]; then
   exit 1
 fi
 echo "serve smoke: ok"
+
+# ---- old-format smoke: a pre-v4 model is refused with a diagnostic ----
+sed '1s/.*/pigeon-crf-model 3/' "$SMOKE_DIR/model.crf" >"$SMOKE_DIR/old.crf"
+set +e
+dune exec bin/pigeon_cli.exe -- serve --model "$SMOKE_DIR/old.crf" \
+  --socket "$SMOKE_DIR/old.sock" -j 1 2>"$SMOKE_DIR/old.log"
+rc=$?
+set -e
+if [ "$rc" -eq 0 ] || ! grep -q "version 3 is no longer supported" \
+  "$SMOKE_DIR/old.log" || grep -qi exception "$SMOKE_DIR/old.log"; then
+  echo "old-format smoke: expected a retrain diagnostic, got exit $rc" >&2
+  cat "$SMOKE_DIR/old.log" >&2
+  exit 1
+fi
+echo "old-format smoke: ok"
 
 # ---- lifecycle smokes: SIGHUP hot reload, SIGTERM drain, exit codes ----
 # The binary is invoked directly (dune build above produced it) so the

@@ -93,6 +93,13 @@ let width_arg =
 
 let paths_cmd =
   let run lang file max_length max_width =
+    (* usage errors (exit 2), checked before [Config.make] can raise *)
+    let below flag v floor =
+      Format.eprintf "error: --%s must be >= %d, got %d@." flag floor v;
+      exit 2
+    in
+    if max_length < 1 then below "max-length" max_length 1;
+    if max_width < 0 then below "max-width" max_width 0;
     handle_parse_errors @@ fun () ->
     let tree = lang.Pigeon.Lang.parse_tree (read_file file) in
     let idx = Ast.Index.build tree in

@@ -241,51 +241,8 @@ let ids_for_node t g factors n ~max =
 let for_node t g factors n ~max =
   List.map (Symbols.label_string t.syms) (ids_for_node t g factors n ~max)
 
-type entry =
-  | E_global of string * int
-  | E_unary of string * string * int
-  | E_pairwise of string * string * int
-
-(* v1/v2 text files carry pairwise keys as "dir\x1frel\x1fother". *)
-let pw_key_string t key =
-  let dir = if unpack_dir key = 0 then "L" else "R" in
-  String.concat "\x1f"
-    [
-      dir;
-      Symbols.rel_string t.syms (unpack_rel key);
-      Symbols.label_string t.syms (unpack_other key);
-    ]
-
-let pw_key_of_string t s =
-  match String.split_on_char '\x1f' s with
-  | [ dir; rel; other ] ->
-      let dir =
-        match dir with
-        | "L" -> 0
-        | "R" -> 1
-        | _ -> failwith "candidate key: bad direction"
-      in
-      pack ~dir ~rel:(Symbols.rel t.syms rel) ~other:(Symbols.label t.syms other)
-  | _ -> failwith "candidate key: expected dir\\x1frel\\x1flabel"
-
-let entries t =
-  let str = Symbols.label_string t.syms in
-  let acc = ref [] in
-  Hashtbl.iter (fun l c -> acc := E_global (str l, !c) :: !acc) t.global;
-  Hashtbl.iter
-    (fun rel inner ->
-      let rel = Symbols.rel_string t.syms rel in
-      Hashtbl.iter (fun l c -> acc := E_unary (rel, str l, !c) :: !acc) inner)
-    t.unary;
-  Hashtbl.iter
-    (fun key inner ->
-      let key = pw_key_string t key in
-      Hashtbl.iter (fun l c -> acc := E_pairwise (key, str l, !c) :: !acc) inner)
-    t.pairwise;
-  !acc
-
-(* v3 binary records carry raw interned ids (the file's label/rel
-   tables define the id space). Sorted so the dump is a canonical form:
+(* Model files carry raw interned ids (the file's label/rel tables
+   define the id space). Sorted so the dump is a canonical form:
    save → load → save is byte-identical regardless of hash-table
    iteration order. *)
 let dump_ids t =
@@ -322,15 +279,4 @@ let of_ids ~symbols ~global ~unary ~pairwise =
       ignore (lab (unpack_other key));
       bump ~by:c t.pairwise key (lab l))
     pairwise;
-  t
-
-let of_entries ?symbols es =
-  let t = create ?symbols () in
-  let label = Symbols.label t.syms in
-  List.iter
-    (function
-      | E_global (l, c) -> incr_count ~by:c t.global (label l)
-      | E_unary (rel, l, c) -> bump ~by:c t.unary (Symbols.rel t.syms rel) (label l)
-      | E_pairwise (key, l, c) -> bump ~by:c t.pairwise (pw_key_of_string t key) (label l))
-    es;
   t

@@ -90,23 +90,11 @@ val label_count : t -> string -> int
 
 (** {2 Serialization support} *)
 
-type entry =
-  | E_global of string * int  (** label, count *)
-  | E_unary of string * string * int  (** rel, label, count *)
-  | E_pairwise of string * string * int  (** packed key, label, count *)
-
-val entries : t -> entry list
-
-val of_entries : ?symbols:Symbols.t -> entry list -> t
-(** Rebuild from entries, interning into [symbols] — pass the model's
-    table so restored candidate ids match restored weight keys. Raises
-    [Failure] on a malformed pairwise key. *)
-
 val dump_ids :
   t -> (int * int) list * (int * int * int) list * (int * int * int) list
 (** (global (label, count), unary (rel, label, count), pairwise
     (packed key, label, count)) as raw interned ids, each list sorted —
-    a canonical form, so the v3 binary writer is byte-deterministic. *)
+    a canonical form, so the model writer is byte-deterministic. *)
 
 val of_ids :
   symbols:Symbols.t ->
@@ -115,5 +103,5 @@ val of_ids :
   pairwise:(int * int * int) list ->
   t
 (** Inverse of {!dump_ids} against an already-restored symbol table.
-    Raises [Failure] if any id falls outside the table — a mangled v3
+    Raises [Failure] if any id falls outside the table — a mangled model
     file surfaces as a corrupt-model diagnostic, not an array error. *)

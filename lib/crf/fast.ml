@@ -1065,7 +1065,7 @@ type dump = {
 }
 
 (* Key-sorted: the keys sort as an unboxed int array (no generic
-   compare on boxed pairs), and the v3 writer emits the list as-is,
+   compare on boxed pairs), and the model writer emits the list as-is,
    so the canonical on-disk order costs one int sort here. *)
 let tbl_list tbl =
   let n = Itbl.length tbl in

@@ -30,45 +30,12 @@
    All lists are sorted and pads are deterministic, so the writer is a
    canonical form: save → load → save round-trips byte-identically.
 
-   Version 3 interleaves (key, weight) pairs in the weight sections,
-   has no pads, and stores one whole-body checksum in the end section.
-   Versions 1 and 2 are line-oriented text ("label <escaped>",
-   "pw <int-key> <weight>", ... strings percent-escaped; version 2
-   adds an "end <record-count>" trailer). All three still load, as
-   heap copies. *)
+   Version 4 is the only format that loads. Versions 1-3 (older text
+   and binary layouts) are recognised by their magic line and rejected
+   with a diagnostic that says to retrain. *)
 
 let format_version = 4
 let magic v = Printf.sprintf "pigeon-crf-model %d" v
-
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\t' | '\n' | '\r' | ' ' | '%' ->
-          Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (match
-       if s.[!i] = '%' && !i + 2 < n then
-         int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2)
-       else None
-     with
-    | Some c ->
-        Buffer.add_char buf (Char.chr c);
-        i := !i + 3
-    | None ->
-        Buffer.add_char buf s.[!i];
-        incr i)
-  done;
-  Buffer.contents buf
 
 let trainer_name = function
   | Fast.Structured -> "structured"
@@ -94,115 +61,7 @@ let init_of_name = function
   | "naive-bayes" -> Some Fast.Naive_bayes
   | _ -> None
 
-(* Version-2 text writer, kept for compatibility fixtures (tests, and
-   anyone pinning the text format). *)
-let to_channel_v2 (model : Train.model) oc =
-  let records = ref 0 in
-  let p fmt =
-    incr records;
-    Printf.fprintf oc fmt
-  in
-  Printf.fprintf oc "%s\n" (magic 2);
-  let c = model.Train.config in
-  let inf = c.Train.inference in
-  p "config %d %d %d %d %b %s %s\n" c.Train.iterations
-    inf.Inference.max_candidates inf.Inference.max_passes c.Train.seed
-    c.Train.averaged
-    (trainer_name c.Train.trainer)
-    (init_name c.Train.init);
-  let d = Fast.dump model.Train.fast in
-  List.iter (fun l -> p "label %s\n" (escape l)) d.Fast.d_labels;
-  List.iter (fun r -> p "rel %s\n" (escape r)) d.Fast.d_rels;
-  List.iter (fun (k, w) -> p "pw %d %.17g\n" k w) d.Fast.d_pw;
-  List.iter (fun (k, w) -> p "un %d %.17g\n" k w) d.Fast.d_un;
-  List.iter (fun (k, w) -> p "bias %d %.17g\n" k w) d.Fast.d_bias;
-  List.iter
-    (function
-      | Candidates.E_global (l, n) -> p "cand-global %s %d\n" (escape l) n
-      | Candidates.E_unary (r, l, n) ->
-          p "cand-unary %s %s %d\n" (escape r) (escape l) n
-      | Candidates.E_pairwise (k, l, n) ->
-          p "cand-pw %s %s %d\n" (escape k) (escape l) n)
-    (Candidates.entries (Lazy.force model.Train.candidates));
-  Printf.fprintf oc "end %d\n" !records
-
-let n_sections = 9
 let pad_tag = 254
-
-(* Version-3 binary writer, kept so the loaders' v3 compatibility path
-   stays testable against freshly written files. *)
-let to_string_v3 (model : Train.model) =
-  let open Lexkit.Binio in
-  let buf = Buffer.create (1 lsl 16) in
-  let section tag fill =
-    let payload = Buffer.create 1024 in
-    fill payload;
-    w_section buf ~tag payload
-  in
-  let c = model.Train.config in
-  let inf = c.Train.inference in
-  section 1 (fun b ->
-      w_int b c.Train.iterations;
-      w_int b inf.Inference.max_candidates;
-      w_int b inf.Inference.max_passes;
-      w_int b c.Train.seed;
-      w_u8 b (if c.Train.averaged then 1 else 0);
-      w_string b (trainer_name c.Train.trainer);
-      w_string b (init_name c.Train.init));
-  let d = Fast.dump model.Train.fast in
-  let strings tag ss =
-    section tag (fun b ->
-        w_int b (List.length ss);
-        List.iter (w_string b) ss)
-  in
-  strings 2 d.Fast.d_labels;
-  strings 3 d.Fast.d_rels;
-  let weights tag ws =
-    section tag (fun b ->
-        w_int b (List.length ws);
-        List.iter
-          (fun (k, w) ->
-            w_int b k;
-            w_float b w)
-          ws)
-  in
-  weights 4 d.Fast.d_pw;
-  weights 5 d.Fast.d_un;
-  weights 6 d.Fast.d_bias;
-  let global, unary, pairwise = Candidates.dump_ids (Lazy.force model.Train.candidates) in
-  section 7 (fun b ->
-      w_int b (List.length global);
-      List.iter
-        (fun (l, n) ->
-          w_int b l;
-          w_int b n)
-        global);
-  section 8 (fun b ->
-      w_int b (List.length unary);
-      List.iter
-        (fun (r, l, n) ->
-          w_int b r;
-          w_int b l;
-          w_int b n)
-        unary);
-  section 9 (fun b ->
-      w_int b (List.length pairwise);
-      List.iter
-        (fun (k, l, n) ->
-          w_int b k;
-          w_int b l;
-          w_int b n)
-        pairwise);
-  let body = Buffer.contents buf in
-  let out = Buffer.create (String.length body + 64) in
-  Buffer.add_string out (magic 3);
-  Buffer.add_char out '\n';
-  Buffer.add_string out body;
-  let trailer = Buffer.create 24 in
-  w_int trailer n_sections;
-  w_int trailer (checksum body);
-  w_section out ~tag:255 trailer;
-  Buffer.contents out
 
 let to_string (model : Train.model) =
   let open Lexkit.Binio in
@@ -296,14 +155,12 @@ let to_string (model : Train.model) =
   w_section out ~tag:255 trailer;
   Buffer.contents out
 
-let to_channel model oc = output_string oc (to_string model)
-
 (* ---------- shared section-payload parsers ----------
 
    Each takes a [Binio.reader] positioned at the start of a section's
    payload; malformed data raises [Failure], which every caller
-   converts to a [Corrupt_model] diagnostic. Shared between the v3/v4
-   copy parsers and the v4 mapped loader. *)
+   converts to a [Corrupt_model] diagnostic. Shared between the copy
+   parser and the mapped loader. *)
 
 let count_ what n =
   if n < 0 then Printf.ksprintf failwith "%s: negative count" what;
@@ -399,57 +256,6 @@ let corrupt ?source fmt =
            (Lexkit.Diag.make ?file:source Lexkit.Diag.Corrupt_model msg)))
     fmt
 
-(* [body] is everything after the magic line. Binio failures carry a
-   byte offset into it; restore failures name the inconsistency. Both
-   surface as [Corrupt_model] diagnostics — never exceptions. *)
-let parse_v3 ?source body =
-  match
-    let open Lexkit.Binio in
-    let r = reader body in
-    let sect tag what fill =
-      let stop = r_section r ~tag ~what in
-      let v = fill () in
-      end_section r ~stop ~what;
-      v
-    in
-    let config = sect 1 "config" (fun () -> read_config r) in
-    let labels = sect 2 "labels" (fun () -> read_strings r "labels") in
-    let rels = sect 3 "rels" (fun () -> read_strings r "rels") in
-    let weights tag what =
-      sect tag what (fun () ->
-          let n = count_ what (r_int r what) in
-          List.init n (fun _ ->
-              let k = r_int r what in
-              let w = r_float r what in
-              (k, w)))
-    in
-    let pw = weights 4 "pw" in
-    let un = weights 5 "un" in
-    let bias = weights 6 "bias" in
-    let global = sect 7 "cand-global" (fun () -> read_cand_global r) in
-    let unary = sect 8 "cand-unary" (fun () -> read_cand_unary r) in
-    let pairwise = sect 9 "cand-pw" (fun () -> read_cand_pw r) in
-    let body_len = offset r in
-    sect 255 "end" (fun () ->
-        let n = r_int r "section count" in
-        if n <> n_sections then
-          Printf.ksprintf failwith
-            "section count mismatch: trailer says %d, format has %d" n
-            n_sections;
-        let sum = r_int r "checksum" in
-        if sum <> checksum (String.sub body 0 body_len) then
-          failwith "checksum mismatch: model data is corrupted");
-    if not (at_end r) then failwith "trailing data after the model";
-    let fast =
-      Fast.restore
-        { Fast.d_labels = labels; d_rels = rels; d_pw = pw; d_un = un; d_bias = bias }
-    in
-    assemble ?source ~config ~fast ~ids:(fun () -> (global, unary, pairwise)) ()
-  with
-  | model -> model
-  | exception (Failure msg | Invalid_argument msg) ->
-      corrupt ?source "corrupt binary model: %s" msg
-
 (* The v4 copy parser: same result as the mapped loader, but every
    payload lands on the heap — the path taken by [load], by big-endian
    hosts, and by tools that mutate the model after loading. *)
@@ -522,183 +328,24 @@ let parse_v4 ?source body =
   | exception (Failure msg | Invalid_argument msg) ->
       corrupt ?source "corrupt binary model: %s" msg
 
-(* Parse from a [next_line] pull function so channels and in-memory
-   strings (the fuzz suite) share one code path. Every malformed input
-   raises [Lexkit.Diag.Error] with kind [Corrupt_model] and the
-   offending line number. *)
-let parse ?source next_line =
-  let line_no = ref 0 in
-  let fail fmt =
-    Format.kasprintf
-      (fun msg ->
-        raise
-          (Lexkit.Diag.Error
-             (Lexkit.Diag.make ?file:source
-                ~pos:{ Lexkit.line = !line_no; col = 1; offset = 0 }
-                Lexkit.Diag.Corrupt_model msg)))
-      fmt
-  in
-  let read () =
-    incr line_no;
-    next_line ()
-  in
-  let int_ s =
-    match int_of_string_opt s with
-    | Some n -> n
-    | None -> fail "malformed integer %S" s
-  in
-  let float_ s =
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> fail "malformed float %S" s
-  in
-  let bool_ s =
-    match bool_of_string_opt s with
-    | Some b -> b
-    | None -> fail "malformed boolean %S" s
-  in
-  let version =
-    match read () with
-    | None -> fail "empty model file"
-    | Some l when String.equal l (magic 1) -> 1
-    | Some l when String.equal l (magic 2) -> 2
-    | Some _ -> fail "bad magic (not a pigeon-crf-model file)"
-  in
-  let config = ref Train.default_config in
-  let labels = ref [] and rels = ref [] in
-  let pw = ref [] and un = ref [] and bias = ref [] in
-  let cand = ref [] in
-  let records = ref 0 in
-  let finished = ref false in
-  let record () =
-    if !finished then fail "record after the \"end\" trailer";
-    incr records
-  in
-  let rec go () =
-    match read () with
-    | None ->
-        if version >= 2 && not !finished then
-          fail "truncated model: missing \"end\" trailer"
-    | Some line ->
-        (match String.split_on_char ' ' line with
-        | [] | [ "" ] -> ()
-        | [ "end"; n ] when version >= 2 ->
-            if !finished then fail "duplicate \"end\" trailer";
-            let n = int_ n in
-            if n <> !records then
-              fail "record count mismatch: trailer says %d, file has %d" n
-                !records;
-            finished := true
-        | [ "config"; it; mc; mp; seed; avg; tr; init ] ->
-            record ();
-            let trainer =
-              match trainer_of_name tr with
-              | Some t -> t
-              | None -> fail "unknown trainer %S" tr
-            in
-            let init =
-              match init_of_name init with
-              | Some i -> i
-              | None -> fail "unknown init %S" init
-            in
-            config :=
-              {
-                Train.iterations = int_ it;
-                inference =
-                  {
-                    Inference.max_candidates = int_ mc;
-                    max_passes = int_ mp;
-                    seed = Inference.default_config.Inference.seed;
-                  };
-                seed = int_ seed;
-                averaged = bool_ avg;
-                trainer;
-                init;
-                (* Execution detail, not a model property: always the
-                   default engine on restore. *)
-                engine = Train.default_config.Train.engine;
-              }
-        | [ "label"; l ] ->
-            record ();
-            labels := unescape l :: !labels
-        | [ "rel"; r ] ->
-            record ();
-            rels := unescape r :: !rels
-        | [ "pw"; k; w ] ->
-            record ();
-            pw := (int_ k, float_ w) :: !pw
-        | [ "un"; k; w ] ->
-            record ();
-            un := (int_ k, float_ w) :: !un
-        | [ "bias"; k; w ] ->
-            record ();
-            bias := (int_ k, float_ w) :: !bias
-        | [ "cand-global"; l; n ] ->
-            record ();
-            cand := Candidates.E_global (unescape l, int_ n) :: !cand
-        | [ "cand-unary"; r; l; n ] ->
-            record ();
-            cand :=
-              Candidates.E_unary (unescape r, unescape l, int_ n) :: !cand
-        | [ "cand-pw"; k; l; n ] ->
-            record ();
-            cand :=
-              Candidates.E_pairwise (unescape k, unescape l, int_ n) :: !cand
-        | tok :: _ -> fail "unknown record %S" tok);
-        go ()
-  in
-  go ();
-  (* Weight keys index into arrays sized by the label/rel tables, so a
-     mangled file can still die inside restore; surface that as a
-     corrupt-model diagnostic rather than an exception. *)
-  match
-    let fast =
-      Fast.restore
-        {
-          Fast.d_labels = List.rev !labels;
-          d_rels = List.rev !rels;
-          d_pw = !pw;
-          d_un = !un;
-          d_bias = !bias;
-        }
-    in
-    {
-      Train.weights = lazy (Fast.export_weights fast);
-      (* Share the restored model's symbol table so candidate ids and
-         weight keys agree. *)
-      candidates = lazy (Candidates.of_entries ~symbols:(Fast.symbols fast) !cand);
-      config = !config;
-      fast;
-    }
-  with
-  | model -> model
-  | exception (Invalid_argument msg | Failure msg) ->
-      fail "inconsistent model data: %s" msg
+(* Only version 4 loads. An older magic line is named in the
+   diagnostic, with the way out: retrain. *)
+let check_magic ?source head =
+  if not (String.equal head (magic format_version)) then
+    match List.find_opt (fun v -> String.equal head (magic v)) [ 1; 2; 3 ] with
+    | Some v ->
+        corrupt ?source
+          "pigeon-crf-model version %d is no longer supported (this build \
+           loads version %d only): retrain the model"
+          v format_version
+    | None -> corrupt ?source "bad magic (not a pigeon-crf-model file)"
 
-(* The magic line picks the parser: versions 3 and 4 are binary (they
-   cannot be split on newlines), versions 1 and 2 are line-oriented
-   text. *)
 let parse_string ?source s =
   let nl = match String.index_opt s '\n' with Some i -> i | None -> String.length s in
-  let head = String.sub s 0 nl in
-  let body () =
-    if nl >= String.length s then ""
-    else String.sub s (nl + 1) (String.length s - nl - 1)
-  in
-  if String.equal head (magic 4) then parse_v4 ?source (body ())
-  else if String.equal head (magic 3) then parse_v3 ?source (body ())
-  else
-    let rest = ref (String.split_on_char '\n' s) in
-    let next () =
-      match !rest with
-      | [] -> None
-      | l :: tl ->
-          rest := tl;
-          Some l
-    in
-    parse ?source next
-
-let from_channel ?source ic = parse_string ?source (In_channel.input_all ic)
+  check_magic ?source (String.sub s 0 nl);
+  parse_v4 ?source
+    (if nl >= String.length s then ""
+     else String.sub s (nl + 1) (String.length s - nl - 1))
 
 let of_string ?source s =
   Lexkit.protect ?file:source (fun () -> parse_string ?source s)
@@ -709,14 +356,10 @@ let of_string ?source s =
 let save model path = Lexkit.write_file_atomic path (to_string model)
 
 let load path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg ->
       Result.Error (Lexkit.Diag.make ~file:path Lexkit.Diag.Io_error msg)
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          Lexkit.protect ~file:path (fun () -> from_channel ~source:path ic))
+  | s -> of_string ~source:path s
 
 let load_exn path =
   match load path with
@@ -725,10 +368,10 @@ let load_exn path =
 
 (* ---------- training checkpoints ----------
 
-   "pigeon-crf-checkpoint 1\n", then v3-style sections with one
-   whole-body checksum in the end trailer (checkpoints are transient
-   scratch state — nothing maps them, so the v4 alignment machinery
-   would buy nothing):
+   "pigeon-crf-checkpoint 1\n", then sections framed as in the model
+   format but unpadded, with one whole-body checksum in the end trailer
+   (checkpoints are transient scratch state — nothing maps them, so
+   the model's alignment machinery would buy nothing):
 
      1 header    model config (as in the model's config section), then
                  the resume cursor: next_it, next_shard, n_shards,
@@ -930,9 +573,9 @@ let checkpoint_load path =
    O(everything-but-the-floats), and the floats are the bulk of a
    trained model. *)
 
-(* Environmental reasons not to map (wrong version, misalignment,
-   big-endian host, mmap failure) downgrade to the copy loader;
-   structural damage stays a hard [Corrupt_model]. *)
+(* Environmental reasons not to map (misalignment, big-endian host,
+   mmap failure) fall back to the v4 copy loader; structural damage
+   stays a hard [Corrupt_model]. *)
 exception Downgrade of string
 
 type weight_walk = {
@@ -1154,34 +797,26 @@ let load_mapped path =
         (fun () ->
           Lexkit.protect ~file:path (fun () ->
               let size = in_channel_length ic in
+              (* the magic line and its newline; a file that stops
+                 right before the newline fails the walk as truncated *)
               let head =
-                let want = magic format_version ^ "\n" in
-                let n = String.length want in
-                if size >= n && String.equal (really_input_string ic n) want
-                then Some ()
-                else None
+                really_input_string ic
+                  (min size (String.length (magic format_version) + 1))
               in
-              let fallback note =
+              check_magic ~source:path
+                (match String.index_opt head '\n' with
+                | Some i -> String.sub head 0 i
+                | None -> head);
+              let copy reason =
                 seek_in ic 0;
-                ( from_channel ~source:path ic,
-                  Lexkit.Storage.Heap { note = Some note } )
+                ( parse_string ~source:path (In_channel.input_all ic),
+                  Lexkit.Storage.Heap
+                    { note = Some ("mapped load downgraded to a heap copy: " ^ reason) } )
               in
-              match head with
-              | Some () when not Sys.big_endian -> (
-                  match map_v4 path ic size with
-                  | model, bytes ->
-                      (model, Lexkit.Storage.Mapped { bytes })
-                  | exception Downgrade reason ->
-                      fallback
-                        (Printf.sprintf
-                           "mapped load downgraded to a heap copy: %s" reason)
-                  | exception (Failure msg | Invalid_argument msg) ->
-                      corrupt ~source:path "corrupt binary model: %s" msg)
-              | Some () ->
-                  fallback
-                    "mapped load downgraded to a heap copy: big-endian host"
-              | None ->
-                  fallback
-                    (Printf.sprintf
-                       "mapped load downgraded to a heap copy: not a v%d model"
-                       format_version)))
+              if Sys.big_endian then copy "big-endian host"
+              else
+                match map_v4 path ic size with
+                | model, bytes -> (model, Lexkit.Storage.Mapped { bytes })
+                | exception Downgrade reason -> copy reason
+                | exception (Failure msg | Invalid_argument msg) ->
+                    corrupt ~source:path "corrupt binary model: %s" msg))

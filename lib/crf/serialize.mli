@@ -10,17 +10,16 @@
     writer sorts each section and pads deterministically, so it is a
     canonical form: save → load → save round-trips byte-identically.
 
-    Version 3 (interleaved weight pairs, whole-body checksum) and
-    versions 1 and 2 (the older line-oriented text format, values
-    percent-escaped) still load; {!to_string_v3} and {!to_channel_v2}
-    keep writers around for compatibility fixtures.
+    Version 4 is the only format that loads. A file whose magic line
+    names version 1, 2 or 3 (the older text and binary layouts) is an
+    [Error] with kind [Corrupt_model] that names the version and says
+    to retrain; any other first line is a bad-magic [Corrupt_model].
 
-    Every format is self-checking (v2's [end <record-count>] trailer,
-    v3/v4's section framing and checksum trailer), so truncation,
-    trailing garbage and bit-flips are detected. Loaders never raise
-    [Failure]; every malformed input is reported as a {!Lexkit.Diag.t}
-    with kind [Corrupt_model] — a line number for text formats, a byte
-    offset in the message for binary. *)
+    The format is self-checking (section framing and a per-section
+    checksum trailer), so truncation, trailing garbage and bit-flips
+    are detected. Loaders never raise [Failure]; every malformed input
+    is reported as a {!Lexkit.Diag.t} with kind [Corrupt_model] and a
+    byte offset in the message. *)
 
 val save : Train.model -> string -> unit
 (** [save model path] writes the model to [path]. Raises [Sys_error]
@@ -28,7 +27,7 @@ val save : Train.model -> string -> unit
 
 val load : string -> (Train.model, Lexkit.Diag.t) result
 (** Read a model back; [Error] carries an [Io_error] (unreadable file)
-    or line-numbered [Corrupt_model] diagnostic. Never raises. *)
+    or a [Corrupt_model] diagnostic. Never raises. *)
 
 val load_exn : string -> Train.model
 (** Like {!load} but raises {!Lexkit.Diag.Error} on failure. *)
@@ -43,26 +42,14 @@ val load_mapped :
     first inference entry point; a mismatch then raises
     {!Lexkit.Diag.Error} with kind [Corrupt_model].
 
-    Environmental obstacles (v1–v3 file, misaligned payload,
-    big-endian host, mmap failure) silently fall back to the copy
-    loader and report [Storage.Heap] with a note saying why; only
-    structural damage is an [Error]. The returned model is read-only
-    in its weight tables. *)
-
-val to_channel : Train.model -> out_channel -> unit
+    Environmental obstacles (misaligned payload, big-endian host, mmap
+    failure) fall back to the v4 copy loader and report [Storage.Heap]
+    with a note saying why. A file that is not a v4 model (an older
+    version included) and structural damage are an [Error], as in
+    {!load}. The returned model is read-only in its weight tables. *)
 
 val to_string : Train.model -> string
-(** The version-4 binary image [save]/[to_channel] write. *)
-
-val to_string_v3 : Train.model -> string
-(** Version-3 binary writer, for compatibility fixtures. *)
-
-val to_channel_v2 : Train.model -> out_channel -> unit
-(** Version-2 text writer, for compatibility fixtures. *)
-
-val from_channel : ?source:string -> in_channel -> Train.model
-(** Raises {!Lexkit.Diag.Error} (kind [Corrupt_model]) on malformed
-    input; [source] names the input in diagnostics. *)
+(** The version-4 binary image [save] writes. *)
 
 val of_string : ?source:string -> string -> (Train.model, Lexkit.Diag.t) result
 (** Parse a model held in memory — the fuzz suite's entry point. *)

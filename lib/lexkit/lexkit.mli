@@ -220,8 +220,8 @@ module Storage : sig
   type t =
     | Heap of { note : string option }
         (** [note] explains why a requested mapped load was downgraded
-            to a copy (old format version, misaligned payload,
-            big-endian host, map failure); [None] for a plain load. *)
+            to a copy (misaligned payload, big-endian host, map
+            failure); [None] for a plain load. *)
     | Mapped of { bytes : int }  (** [bytes] = mapped file bytes. *)
 
   val heap : t

@@ -22,124 +22,14 @@
    deterministic, so the writer is a canonical form: save → load →
    save round-trips byte-identically.
 
-   Version 3 is the same minus pads, with a single whole-body checksum
-   in the end section. Versions 1 and 2 are line-oriented text in the
-   word2vec conventions ("w <escaped-token> <count> <floats...>";
-   version 2 adds an "end <record-count>" trailer). All still load,
-   as heap copies. *)
+   Version 4 is the only format that loads. Versions 1-3 (older text
+   and binary layouts) are recognised by their magic line and rejected
+   with a diagnostic that says to retrain. *)
 
 let format_version = 4
 let magic v = Printf.sprintf "pigeon-w2v-model %d" v
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | ' ' | '\t' | '\n' | '\r' | '%' ->
-          Buffer.add_string buf (Printf.sprintf "%%%02X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let unescape s =
-  let buf = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (match
-       if s.[!i] = '%' && !i + 2 < n then
-         int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2)
-       else None
-     with
-    | Some c ->
-        Buffer.add_char buf (Char.chr c);
-        i := !i + 3
-    | None ->
-        Buffer.add_char buf s.[!i];
-        incr i)
-  done;
-  Buffer.contents buf
-
-(* Version-2 text writer, kept for compatibility fixtures. *)
-let to_channel_v2 (m : Sgns.t) oc =
-  let records = ref 0 in
-  let p fmt =
-    incr records;
-    Printf.fprintf oc fmt
-  in
-  let write_matrix tag vocab vecs =
-    Array.iteri
-      (fun i v ->
-        incr records;
-        Printf.fprintf oc "%s %s %d" tag
-          (escape (Vocab.word vocab i))
-          (Vocab.count vocab i);
-        Array.iter (fun x -> Printf.fprintf oc " %.9g" x) v;
-        output_char oc '\n')
-      vecs
-  in
-  Printf.fprintf oc "%s\n" (magic 2);
-  let c = m.Sgns.config in
-  p "config %d %d %d %.17g %d %d\n" c.Sgns.dim c.Sgns.epochs c.Sgns.negatives
-    c.Sgns.learning_rate c.Sgns.min_count c.Sgns.seed;
-  p "words %d\n" (Vocab.size m.Sgns.words);
-  write_matrix "w" m.Sgns.words m.Sgns.word_vecs;
-  p "contexts %d\n" (Vocab.size m.Sgns.contexts);
-  write_matrix "c" m.Sgns.contexts m.Sgns.context_vecs;
-  Printf.fprintf oc "end %d\n" !records
-
-let n_sections = 5
 let pad_tag = 254
-
-(* Version-3 binary writer, kept so the loaders' v3 compatibility path
-   stays testable against freshly written files. *)
-let to_string_v3 (m : Sgns.t) =
-  let open Lexkit.Binio in
-  let buf = Buffer.create (1 lsl 16) in
-  let section tag fill =
-    let payload = Buffer.create 1024 in
-    fill payload;
-    w_section buf ~tag payload
-  in
-  let c = m.Sgns.config in
-  section 1 (fun b ->
-      w_int b c.Sgns.dim;
-      w_int b c.Sgns.epochs;
-      w_int b c.Sgns.negatives;
-      w_float b c.Sgns.learning_rate;
-      w_int b c.Sgns.min_count;
-      w_int b c.Sgns.seed);
-  let vocab_section tag vocab =
-    section tag (fun b ->
-        let n = Vocab.size vocab in
-        w_int b n;
-        for i = 0 to n - 1 do
-          w_string b (Vocab.word vocab i);
-          w_int b (Vocab.count vocab i)
-        done)
-  in
-  let matrix_section tag vecs =
-    section tag (fun b ->
-        let rows = Array.length vecs in
-        w_int b rows;
-        w_int b (if rows = 0 then c.Sgns.dim else Array.length vecs.(0));
-        Array.iter (fun row -> Array.iter (w_float b) row) vecs)
-  in
-  vocab_section 2 m.Sgns.words;
-  matrix_section 3 m.Sgns.word_vecs;
-  vocab_section 4 m.Sgns.contexts;
-  matrix_section 5 m.Sgns.context_vecs;
-  let body = Buffer.contents buf in
-  let out = Buffer.create (String.length body + 64) in
-  Buffer.add_string out (magic 3);
-  Buffer.add_char out '\n';
-  Buffer.add_string out body;
-  let trailer = Buffer.create 24 in
-  w_int trailer n_sections;
-  w_int trailer (checksum body);
-  w_section out ~tag:255 trailer;
-  Buffer.contents out
 
 let to_string (m : Sgns.t) =
   let open Lexkit.Binio in
@@ -208,8 +98,6 @@ let to_string (m : Sgns.t) =
   w_section out ~tag:255 trailer;
   Buffer.contents out
 
-let to_channel m oc = output_string oc (to_string m)
-
 let corrupt ?source fmt =
   Format.kasprintf
     (fun msg ->
@@ -261,49 +149,6 @@ let check_matrix_header ~what ~config ~vocab ~rows ~dim ~avail =
   then
     Printf.ksprintf failwith "%s: %dx%d matrix does not match the file" what
       rows dim
-
-(* [body] is everything after the magic line; failures carry a byte
-   offset and surface as [Corrupt_model] diagnostics. *)
-let parse_v3 ?source body =
-  match
-    let open Lexkit.Binio in
-    let r = reader body in
-    let sect tag what fill =
-      let stop = r_section r ~tag ~what in
-      let v = fill stop in
-      end_section r ~stop ~what;
-      v
-    in
-    let config = sect 1 "config" (fun _ -> read_config r) in
-    let matrix tag what vocab =
-      sect tag what (fun stop ->
-          let rows = count_ what (r_int r what) in
-          let dim = r_int r what in
-          check_matrix_header ~what ~config ~vocab ~rows ~dim
-            ~avail:(stop - offset r);
-          Array.init rows (fun _ ->
-              Array.init dim (fun _ -> r_float r what)))
-    in
-    let words = sect 2 "words" (fun _ -> read_vocab r "words") in
-    let word_vecs = matrix 3 "word-vecs" words in
-    let contexts = sect 4 "contexts" (fun _ -> read_vocab r "contexts") in
-    let context_vecs = matrix 5 "context-vecs" contexts in
-    let body_len = offset r in
-    sect 255 "end" (fun _ ->
-        let n = r_int r "section count" in
-        if n <> n_sections then
-          Printf.ksprintf failwith
-            "section count mismatch: trailer says %d, format has %d" n
-            n_sections;
-        let sum = r_int r "checksum" in
-        if sum <> checksum (String.sub body 0 body_len) then
-          failwith "checksum mismatch: model data is corrupted");
-    if not (at_end r) then failwith "trailing data after the model";
-    { Sgns.config; words; contexts; word_vecs; context_vecs }
-  with
-  | m -> m
-  | exception (Failure msg | Invalid_argument msg) ->
-      corrupt ?source "corrupt binary model: %s" msg
 
 (* The v4 copy parser — same result as the mapped loader, every
    payload on the heap. *)
@@ -368,134 +213,24 @@ let parse_v4 ?source body =
   | exception (Failure msg | Invalid_argument msg) ->
       corrupt ?source "corrupt binary model: %s" msg
 
-(* Parse from a [next_line] pull function so channels and in-memory
-   strings (the fuzz suite) share one code path. Every malformed input
-   raises [Lexkit.Diag.Error] with kind [Corrupt_model] and the
-   offending line number. *)
-let parse ?source next_line =
-  let line_no = ref 0 in
-  let fail fmt =
-    Format.kasprintf
-      (fun msg ->
-        raise
-          (Lexkit.Diag.Error
-             (Lexkit.Diag.make ?file:source
-                ~pos:{ Lexkit.line = !line_no; col = 1; offset = 0 }
-                Lexkit.Diag.Corrupt_model msg)))
-      fmt
-  in
-  let records = ref 0 in
-  let read () =
-    incr line_no;
-    match next_line () with
-    | Some l -> l
-    | None -> fail "unexpected end of file"
-  in
-  let record () =
-    incr records;
-    read ()
-  in
-  let int_ s =
-    match int_of_string_opt s with
-    | Some n -> n
-    | None -> fail "malformed integer %S" s
-  in
-  let float_ s =
-    match float_of_string_opt s with
-    | Some f -> f
-    | None -> fail "malformed float %S" s
-  in
-  let version =
-    match read () with
-    | l when String.equal l (magic 1) -> 1
-    | l when String.equal l (magic 2) -> 2
-    | _ -> fail "bad magic (not a pigeon-w2v-model file)"
-  in
-  let config =
-    match String.split_on_char ' ' (record ()) with
-    | [ "config"; dim; ep; neg; lr; mc; seed ] ->
-        {
-          Sgns.dim = int_ dim;
-          epochs = int_ ep;
-          negatives = int_ neg;
-          learning_rate = float_ lr;
-          min_count = int_ mc;
-          seed = int_ seed;
-        }
-    | _ -> fail "bad config record"
-  in
-  if config.Sgns.dim < 0 then fail "negative vector dimension";
-  let read_matrix tag header =
-    let n =
-      match String.split_on_char ' ' (record ()) with
-      | [ h; n ] when String.equal h header -> int_ n
-      | _ -> fail "expected %S record" header
-    in
-    if n < 0 then fail "negative %s count" header;
-    let entries =
-      List.init n (fun _ ->
-          match String.split_on_char ' ' (record ()) with
-          | t :: tok :: count :: rest when String.equal t tag ->
-              let vec = Array.of_list (List.map float_ rest) in
-              if Array.length vec <> config.Sgns.dim then
-                fail "bad vector size (%d, expected %d)" (Array.length vec)
-                  config.Sgns.dim;
-              (unescape tok, int_ count, vec)
-          | _ -> fail "bad %S record" tag)
-    in
-    let vocab =
-      match Vocab.of_items (List.map (fun (tok, c, _) -> (tok, c)) entries) with
-      | v -> v
-      | exception Invalid_argument msg -> fail "%s" msg
-    in
-    (vocab, Array.of_list (List.map (fun (_, _, v) -> v) entries))
-  in
-  let words, word_vecs = read_matrix "w" "words" in
-  let contexts, context_vecs = read_matrix "c" "contexts" in
-  (if version >= 2 then
-     match String.split_on_char ' ' (read ()) with
-     | [ "end"; n ] ->
-         let n = int_ n in
-         if n <> !records then
-           fail "record count mismatch: trailer says %d, file has %d" n !records
-     | _ -> fail "truncated model: missing \"end\" trailer");
-  (* Nothing but blank lines may follow. *)
-  let rec drain () =
-    match next_line () with
-    | None -> ()
-    | Some l ->
-        incr line_no;
-        if not (String.equal (String.trim l) "") then
-          fail "trailing data after the model";
-        drain ()
-  in
-  drain ();
-  { Sgns.config; words; contexts; word_vecs; context_vecs }
+(* Only version 4 loads. An older magic line is named in the
+   diagnostic, with the way out: retrain. *)
+let check_magic ?source head =
+  if not (String.equal head (magic format_version)) then
+    match List.find_opt (fun v -> String.equal head (magic v)) [ 1; 2; 3 ] with
+    | Some v ->
+        corrupt ?source
+          "pigeon-w2v-model version %d is no longer supported (this build \
+           loads version %d only): retrain the model"
+          v format_version
+    | None -> corrupt ?source "bad magic (not a pigeon-w2v-model file)"
 
-(* The magic line picks the parser: versions 3 and 4 are binary (they
-   cannot be split on newlines), versions 1 and 2 are line-oriented
-   text. *)
 let parse_string ?source s =
   let nl = match String.index_opt s '\n' with Some i -> i | None -> String.length s in
-  let head = String.sub s 0 nl in
-  let body () =
-    if nl >= String.length s then ""
-    else String.sub s (nl + 1) (String.length s - nl - 1)
-  in
-  if String.equal head (magic 4) then parse_v4 ?source (body ())
-  else if String.equal head (magic 3) then parse_v3 ?source (body ())
-  else
-    let rest = ref (String.split_on_char '\n' s) in
-    let next () =
-      match !rest with
-      | [] -> None
-      | l :: tl ->
-          rest := tl;
-          Some l
-    in
-    parse ?source next
-
-let from_channel ?source ic = parse_string ?source (In_channel.input_all ic)
+  check_magic ?source (String.sub s 0 nl);
+  parse_v4 ?source
+    (if nl >= String.length s then ""
+     else String.sub s (nl + 1) (String.length s - nl - 1))
 
 let of_string ?source s =
   Lexkit.protect ?file:source (fun () -> parse_string ?source s)
@@ -506,14 +241,10 @@ let of_string ?source s =
 let save m path = Lexkit.write_file_atomic path (to_string m)
 
 let load path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg ->
       Result.Error (Lexkit.Diag.make ~file:path Lexkit.Diag.Io_error msg)
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          Lexkit.protect ~file:path (fun () -> from_channel ~source:path ic))
+  | s -> of_string ~source:path s
 
 let load_exn path =
   match load path with
@@ -522,9 +253,9 @@ let load_exn path =
 
 (* ---------- training checkpoints ----------
 
-   "pigeon-w2v-checkpoint 1\n", then v3-style sections with one
-   whole-body checksum (checkpoints are transient — nothing maps
-   them):
+   "pigeon-w2v-checkpoint 1\n", then sections framed as in the model
+   format but unpadded, with one whole-body checksum (checkpoints are
+   transient — nothing maps them):
 
      1 header   config as in the model format, then the resume cursor:
                 next_epoch, next_shard, jobs, and the shard layout
@@ -697,6 +428,9 @@ let checkpoint_load path =
    closure. The matrices are the bulk of a trained model, so a load is
    O(vocabulary). *)
 
+(* Environmental reasons not to map (misalignment, big-endian host,
+   mmap failure) fall back to the v4 copy loader; structural damage
+   stays a hard [Corrupt_model]. *)
 exception Downgrade of string
 
 type matrix_walk = {
@@ -859,33 +593,26 @@ let load_mapped path =
         (fun () ->
           Lexkit.protect ~file:path (fun () ->
               let size = in_channel_length ic in
+              (* the magic line and its newline; a file that stops
+                 right before the newline fails the walk as truncated *)
               let head =
-                let want = magic format_version ^ "\n" in
-                let n = String.length want in
-                if size >= n && String.equal (really_input_string ic n) want
-                then Some ()
-                else None
+                really_input_string ic
+                  (min size (String.length (magic format_version) + 1))
               in
-              let fallback note =
+              check_magic ~source:path
+                (match String.index_opt head '\n' with
+                | Some i -> String.sub head 0 i
+                | None -> head);
+              let copy reason =
                 seek_in ic 0;
-                ( Sgns.view_of (from_channel ~source:path ic),
-                  Lexkit.Storage.Heap { note = Some note } )
+                ( Sgns.view_of (parse_string ~source:path (In_channel.input_all ic)),
+                  Lexkit.Storage.Heap
+                    { note = Some ("mapped load downgraded to a heap copy: " ^ reason) } )
               in
-              match head with
-              | Some () when not Sys.big_endian -> (
-                  match map_v4 path ic size with
-                  | view, bytes -> (view, Lexkit.Storage.Mapped { bytes })
-                  | exception Downgrade reason ->
-                      fallback
-                        (Printf.sprintf
-                           "mapped load downgraded to a heap copy: %s" reason)
-                  | exception (Failure msg | Invalid_argument msg) ->
-                      corrupt ~source:path "corrupt binary model: %s" msg)
-              | Some () ->
-                  fallback
-                    "mapped load downgraded to a heap copy: big-endian host"
-              | None ->
-                  fallback
-                    (Printf.sprintf
-                       "mapped load downgraded to a heap copy: not a v%d model"
-                       format_version)))
+              if Sys.big_endian then copy "big-endian host"
+              else
+                match map_v4 path ic size with
+                | view, bytes -> (view, Lexkit.Storage.Mapped { bytes })
+                | exception Downgrade reason -> copy reason
+                | exception (Failure msg | Invalid_argument msg) ->
+                    corrupt ~source:path "corrupt binary model: %s" msg))

@@ -12,23 +12,24 @@
     of copying them. Emission is in vocab-id order and pads are
     deterministic, so save → load → save is byte-identical.
 
-    Version 3 (no pads, whole-body checksum) and versions 1 and 2 (the
-    older word2vec-style text format) still load; {!to_string_v3} and
-    {!to_channel_v2} keep writers around for compatibility fixtures.
+    Version 4 is the only format that loads. A file whose magic line
+    names version 1, 2 or 3 (the older word2vec-style text and binary
+    layouts) is an [Error] with kind [Corrupt_model] that names the
+    version and says to retrain; any other first line is a bad-magic
+    [Corrupt_model].
 
-    Every format is self-checking (v2's [end <record-count>] trailer,
-    v3/v4's section framing and checksum trailer), so truncation,
-    trailing garbage and bit-flips are detected. Loaders never raise
-    [Failure]; every malformed input is reported as a {!Lexkit.Diag.t}
-    with kind [Corrupt_model] — a line number for text formats, a byte
-    offset in the message for binary. *)
+    The format is self-checking (section framing and a per-section
+    checksum trailer), so truncation, trailing garbage and bit-flips
+    are detected. Loaders never raise [Failure]; every malformed input
+    is reported as a {!Lexkit.Diag.t} with kind [Corrupt_model] and a
+    byte offset in the message. *)
 
 val save : Sgns.t -> string -> unit
 (** Raises [Sys_error] on I/O failure. *)
 
 val load : string -> (Sgns.t, Lexkit.Diag.t) result
 (** Read a model back; [Error] carries an [Io_error] (unreadable file)
-    or line-numbered [Corrupt_model] diagnostic. Never raises. *)
+    or a [Corrupt_model] diagnostic. Never raises. *)
 
 val load_exn : string -> Sgns.t
 (** Like {!load} but raises {!Lexkit.Diag.Error} on failure. *)
@@ -43,25 +44,14 @@ val load_mapped :
     entry point; a mismatch then raises {!Lexkit.Diag.Error} with kind
     [Corrupt_model].
 
-    Environmental obstacles (v1–v3 file, misaligned payload,
-    big-endian host, mmap failure) silently fall back to the copy
-    loader and report [Storage.Heap] with a note saying why; only
-    structural damage is an [Error]. *)
-
-val to_channel : Sgns.t -> out_channel -> unit
+    Environmental obstacles (misaligned payload, big-endian host, mmap
+    failure) fall back to the v4 copy loader and report [Storage.Heap]
+    with a note saying why. A file that is not a v4 model (an older
+    version included) and structural damage are an [Error], as in
+    {!load}. *)
 
 val to_string : Sgns.t -> string
-(** The version-4 binary image [save]/[to_channel] write. *)
-
-val to_string_v3 : Sgns.t -> string
-(** Version-3 binary writer, for compatibility fixtures. *)
-
-val to_channel_v2 : Sgns.t -> out_channel -> unit
-(** Version-2 text writer, for compatibility fixtures. *)
-
-val from_channel : ?source:string -> in_channel -> Sgns.t
-(** Raises {!Lexkit.Diag.Error} (kind [Corrupt_model]) on malformed
-    input; [source] names the input in diagnostics. *)
+(** The version-4 binary image [save] writes. *)
 
 val of_string : ?source:string -> string -> (Sgns.t, Lexkit.Diag.t) result
 (** Parse a model held in memory — the fuzz suite's entry point. *)

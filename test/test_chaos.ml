@@ -446,7 +446,6 @@ let test_reload_under_load () =
     | Ok r -> r
     | Error _ -> assert false
   in
-  (* reference replies for every (id, code) the clients will send *)
   let sock = temp_sock () in
   let cfg =
     {
@@ -468,6 +467,18 @@ let test_reload_under_load () =
   @@ fun () ->
   let n_clients = 3 in
   let per_client = max 10 (chaos_count / 2) in
+  (* reference replies for every (id, code) the clients will send,
+     computed here rather than in the client threads: an engine is not
+     shared across threads (two threads forcing a fresh model's lazy
+     tables at once raise [CamlinternalLazy.Undefined]) *)
+  let expected =
+    Array.init n_clients (fun k ->
+        Array.init per_client (fun i ->
+            let id = (k * 1000) + i in
+            let code = sample_codes.(id mod Array.length sample_codes) in
+            ( Serve.Engine.handle ref_a (probe id code),
+              Serve.Engine.handle ref_b (probe id code) )))
+  in
   let failures = Queue.create () in
   let fmutex = Mutex.create () in
   let fail msg =
@@ -488,8 +499,7 @@ let test_reload_under_load () =
       | Some reply ->
           (* every reply is byte-identical to one of the two models'
              canonical replies — never an error, never a blend *)
-          let expect_a = Serve.Engine.handle ref_a (probe id code) in
-          let expect_b = Serve.Engine.handle ref_b (probe id code) in
+          let expect_a, expect_b = expected.(k).(i) in
           if
             (not (String.equal reply expect_a))
             && not (String.equal reply expect_b)

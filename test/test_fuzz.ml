@@ -130,17 +130,6 @@ let saved_text save model =
       save model path;
       read_file path)
 
-let saved_via to_channel model =
-  let path = Filename.temp_file "pigeon_fuzz" ".model" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> to_channel model oc);
-      read_file path)
-
 let crf_model =
   lazy
     (let mk_node id gold kind = { Crf.Graph.id; gold; kind } in
@@ -168,19 +157,13 @@ let w2v_model =
      in
      Word2vec.Sgns.train ~config pairs)
 
-(* [save] writes the v3 binary format; the v2 text writers are kept so
-   mutations of both formats stay under fuzz. *)
+(* [save] writes the v4 binary format, the only one that loads;
+   mutations of it stay under fuzz. *)
 let crf_model_text =
   lazy (saved_text Crf.Serialize.save (Lazy.force crf_model))
 
-let crf_model_text_v2 =
-  lazy (saved_via Crf.Serialize.to_channel_v2 (Lazy.force crf_model))
-
 let w2v_model_text =
   lazy (saved_text Word2vec.Serialize.save (Lazy.force w2v_model))
-
-let w2v_model_text_v2 =
-  lazy (saved_via Word2vec.Serialize.to_channel_v2 (Lazy.force w2v_model))
 
 let loader_total load s = match load s with Ok _ | Error _ -> true
 
@@ -188,32 +171,27 @@ let loader_tests =
   [
     QCheck.Test.make ~count ~name:"crf loader total on random bytes" bytes_arb
       (loader_total (Crf.Serialize.of_string ~source:"<fuzz>"));
-    QCheck.Test.make ~count ~name:"crf loader total on mutated v3 models"
+    QCheck.Test.make ~count ~name:"crf loader total on mutated v4 models"
       (mutated_arb [ Lazy.force crf_model_text ])
-      (loader_total (Crf.Serialize.of_string ~source:"<fuzz>"));
-    QCheck.Test.make ~count ~name:"crf loader total on mutated v2 text models"
-      (mutated_arb [ Lazy.force crf_model_text_v2 ])
       (loader_total (Crf.Serialize.of_string ~source:"<fuzz>"));
     QCheck.Test.make ~count ~name:"w2v loader total on random bytes" bytes_arb
       (loader_total (Word2vec.Serialize.of_string ~source:"<fuzz>"));
-    QCheck.Test.make ~count ~name:"w2v loader total on mutated v3 models"
+    QCheck.Test.make ~count ~name:"w2v loader total on mutated v4 models"
       (mutated_arb [ Lazy.force w2v_model_text ])
-      (loader_total (Word2vec.Serialize.of_string ~source:"<fuzz>"));
-    QCheck.Test.make ~count ~name:"w2v loader total on mutated v2 text models"
-      (mutated_arb [ Lazy.force w2v_model_text_v2 ])
       (loader_total (Word2vec.Serialize.of_string ~source:"<fuzz>"));
   ]
 
 (* A correct magic line followed by arbitrary bytes reaches the binary
    section readers directly — the layer where an unchecked count or an
    overflowing bound becomes a crash instead of a diagnostic. *)
-let v3_body_arb magic =
+let v4_body_arb magic =
   QCheck.make ~print:print_input
     QCheck.Gen.(
       map (fun s -> magic ^ s) (string_size ~gen:char (int_bound 2048)))
 
 (* The file-based [load] path adds I/O classification on top of
-   [of_string]; drive it through one reused temp file. *)
+   [of_string], and [load_mapped] has a structure walk of its own;
+   drive them through one reused temp file. *)
 let load_file_total load =
   let path = lazy (Filename.temp_file "pigeon_fuzz_load" ".model") in
   fun s ->
@@ -223,20 +201,28 @@ let load_file_total load =
     close_out oc;
     match load path with Ok _ | Error _ -> true
 
-let v3_loader_tests =
+let v4_loader_tests =
   [
-    QCheck.Test.make ~count ~name:"crf loader total on v3 magic + random body"
-      (v3_body_arb "pigeon-crf-model 3\n")
+    QCheck.Test.make ~count ~name:"crf loader total on v4 magic + random body"
+      (v4_body_arb "pigeon-crf-model 4\n")
       (loader_total (Crf.Serialize.of_string ~source:"<fuzz>"));
-    QCheck.Test.make ~count ~name:"w2v loader total on v3 magic + random body"
-      (v3_body_arb "pigeon-w2v-model 3\n")
+    QCheck.Test.make ~count ~name:"w2v loader total on v4 magic + random body"
+      (v4_body_arb "pigeon-w2v-model 4\n")
       (loader_total (Word2vec.Serialize.of_string ~source:"<fuzz>"));
     QCheck.Test.make ~count ~name:"crf load (file) total on random bytes"
       bytes_arb
       (load_file_total Crf.Serialize.load);
-    QCheck.Test.make ~count ~name:"w2v load (file) total on v3 magic + random body"
-      (v3_body_arb "pigeon-w2v-model 3\n")
+    QCheck.Test.make ~count ~name:"w2v load (file) total on v4 magic + random body"
+      (v4_body_arb "pigeon-w2v-model 4\n")
       (load_file_total Word2vec.Serialize.load);
+    QCheck.Test.make ~count
+      ~name:"crf load_mapped (file) total on v4 magic + random body"
+      (v4_body_arb "pigeon-crf-model 4\n")
+      (load_file_total Crf.Serialize.load_mapped);
+    QCheck.Test.make ~count
+      ~name:"w2v load_mapped (file) total on v4 magic + random body"
+      (v4_body_arb "pigeon-w2v-model 4\n")
+      (load_file_total Word2vec.Serialize.load_mapped);
   ]
 
 (* ---------- serve request-line properties ---------- *)
@@ -351,19 +337,22 @@ let test_loader_pathological () =
       giant_line;
       "pigeon-crf-model 99\n";
       "\x00\x01\x02";
-      (* v3 magic with empty, truncated, or garbage binary bodies *)
-      "pigeon-crf-model 3\n";
-      "pigeon-w2v-model 3\n";
-      "pigeon-crf-model 3\n\x01\x08";
+      (* v4 magic with empty, truncated, or garbage binary bodies *)
+      "pigeon-crf-model 4\n";
+      "pigeon-w2v-model 4\n";
+      "pigeon-crf-model 4\n\x01\x08";
+      "pigeon-crf-model 4\n" ^ String.make 64 '\xff';
+      "pigeon-w2v-model 4\n" ^ String.make 64 '\x00';
+      (* an old version's magic, rejected before any body is read *)
       "pigeon-crf-model 3\n" ^ String.make 64 '\xff';
-      "pigeon-w2v-model 3\n" ^ String.make 64 '\x00';
+      "pigeon-w2v-model 2\n";
     ]
 
-(* Every single-byte corruption of a v3 file must be rejected with a
+(* Every single-byte corruption of a v4 file must be rejected with a
    structured diagnostic: framing errors catch structural damage, the
-   end-section checksum catches flips inside float or count payloads
+   per-section checksums catch flips inside float or count payloads
    that framing alone cannot see. *)
-let test_v3_bit_flips () =
+let test_v4_bit_flips () =
   let flip_all name load text =
     String.iteri
       (fun i _ ->
@@ -544,7 +533,7 @@ let () =
     [
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          (front_end_tests @ loader_tests @ v3_loader_tests
+          (front_end_tests @ loader_tests @ v4_loader_tests
          @ ckpt_loader_tests @ serve_tests) );
       ( "pathological",
         [
@@ -557,8 +546,8 @@ let () =
             test_unterminated_string;
           Alcotest.test_case "loader pathological" `Quick
             test_loader_pathological;
-          Alcotest.test_case "v3 single-byte corruption" `Quick
-            test_v3_bit_flips;
+          Alcotest.test_case "v4 single-byte corruption" `Quick
+            test_v4_bit_flips;
           Alcotest.test_case "checkpoint single-byte corruption" `Quick
             test_checkpoint_bit_flips;
           Alcotest.test_case "shard single-byte corruption" `Quick

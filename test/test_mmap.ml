@@ -110,21 +110,6 @@ let test_crf_save_map_save_bit_exact () =
       check_bool "save(map(save)) is byte-identical" true
         (String.equal bytes (Crf.Serialize.to_string mapped)))
 
-let test_crf_no_mmap_for_old_formats () =
-  (* v2 and v3 files still load through [load_mapped] — as heap copies
-     carrying a downgrade note, not as errors. *)
-  let model = train () in
-  with_temp_file ".crf" (fun path ->
-      write_file path (Crf.Serialize.to_string_v3 model);
-      let m3, storage = load_mapped_exn path in
-      check_bool "v3 file downgrades to a heap copy" true
-        (match storage with
-        | Lexkit.Storage.Heap { note = Some _ } -> true
-        | _ -> false);
-      let g = List.hd (graphs ~n:1 ~seed:7) in
-      check_bool "downgraded model predicts identically" true
-        (Crf.Train.predict model g = Crf.Train.predict m3 g))
-
 let test_itbl_mapped_read_only () =
   let keys = [| 1; 5; 9 |] in
   let vals =
@@ -301,18 +286,60 @@ let test_w2v_mapped_corruption () =
             true (w2v_contained path))
         (List.init 21 (fun i -> i * (n - 1) / 20)))
 
-let test_w2v_mapped_v3_downgrade () =
+(* ---------- older format versions ---------- *)
+
+(* A v4 image with its magic line rewritten to an older version: what
+   a file from before v4 presents to the loaders. *)
+let with_version v image =
+  let nl = String.index image '\n' in
+  let kind = String.sub image 0 (String.rindex_from image nl ' ') in
+  Printf.sprintf "%s %d%s" kind v (String.sub image nl (String.length image - nl))
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+(* Versions 1-3 no longer load: [load], [of_string] and [load_mapped]
+   all answer [Corrupt_model] naming the version and saying to retrain
+   — never a model, and never a heap-copy downgrade. *)
+let check_old_versions_rejected ~load ~of_string ~load_mapped path image =
+  List.iter
+    (fun v ->
+      let old = with_version v image in
+      write_file path old;
+      let expect what = function
+        | Ok _ -> Alcotest.failf "%s accepted a version-%d file" what v
+        | Error d ->
+            check_bool
+              (Printf.sprintf "%s names version %d and says to retrain" what v)
+              true
+              (d.Lexkit.Diag.kind = Lexkit.Diag.Corrupt_model
+              && contains d.Lexkit.Diag.msg (Printf.sprintf "version %d" v)
+              && contains d.Lexkit.Diag.msg "retrain")
+      in
+      expect "load" (load path);
+      expect "of_string" (of_string old);
+      expect "load_mapped" (load_mapped path))
+    [ 1; 2; 3 ]
+
+let test_crf_old_versions_rejected () =
+  let model = train () in
+  with_temp_file ".crf" (fun path ->
+      check_old_versions_rejected ~load:Crf.Serialize.load
+        ~of_string:(fun s -> Crf.Serialize.of_string s)
+        ~load_mapped:Crf.Serialize.load_mapped path
+        (Crf.Serialize.to_string model))
+
+let test_w2v_old_versions_rejected () =
   let model = train_w2v () in
   with_temp_file ".w2v" (fun path ->
-      write_file path (Word2vec.Serialize.to_string_v3 model);
-      let view, storage = w2v_load_mapped_exn path in
-      check_bool "v3 file downgrades to a heap copy" true
-        (match storage with
-        | Lexkit.Storage.Heap { note = Some _ } -> true
-        | _ -> false);
-      check_bool "downgraded view ranks identically" true
-        (Word2vec.Sgns.predict model [ "loop ctx" ]
-        = Word2vec.Sgns.predict_view view [ "loop ctx" ]))
+      check_old_versions_rejected ~load:Word2vec.Serialize.load
+        ~of_string:(fun s -> Word2vec.Serialize.of_string s)
+        ~load_mapped:Word2vec.Serialize.load_mapped path
+        (Word2vec.Serialize.to_string model))
 
 let suite =
   [
@@ -323,8 +350,8 @@ let suite =
           test_crf_byte_identical_predictions;
         Alcotest.test_case "save-map-save bit-exact" `Quick
           test_crf_save_map_save_bit_exact;
-        Alcotest.test_case "old formats downgrade" `Quick
-          test_crf_no_mmap_for_old_formats;
+        Alcotest.test_case "old versions rejected" `Quick
+          test_crf_old_versions_rejected;
         Alcotest.test_case "mapped tables read-only" `Quick
           test_itbl_mapped_read_only;
       ] );
@@ -345,7 +372,8 @@ let suite =
           test_w2v_mapped_byte_identity;
         Alcotest.test_case "corruption contained" `Quick
           test_w2v_mapped_corruption;
-        Alcotest.test_case "v3 downgrade" `Quick test_w2v_mapped_v3_downgrade;
+        Alcotest.test_case "old versions rejected" `Quick
+          test_w2v_old_versions_rejected;
       ] );
   ]
 

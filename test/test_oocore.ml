@@ -440,7 +440,25 @@ let test_sgns_checkpoint_rejects_reshard () =
 (* The checkpoint file is written atomically, so a SIGKILL anywhere in
    a save leaves the previous complete checkpoint or the new one,
    never a torn file. Kill a child that checkpoints in a tight loop;
-   the survivor must always load. *)
+   the survivor must always load. The child restores the checkpoint
+   from the file and saves it back, which rewrites the same bytes. *)
+let checkpoint_loop = function
+  | [ path ] ->
+      let ck =
+        match Crf.Serialize.checkpoint_load path with
+        | Ok ck -> ck
+        | Error d -> raise (Lexkit.Diag.Error d)
+      in
+      Child.ready ();
+      while true do
+        Crf.Serialize.checkpoint_save path ~config:ck.Crf.Serialize.ck_config
+          ~next_it:ck.Crf.Serialize.ck_next_it
+          ~next_shard:ck.Crf.Serialize.ck_next_shard
+          ~n_shards:ck.Crf.Serialize.ck_n_shards ~jobs:ck.Crf.Serialize.ck_jobs
+          ck.Crf.Serialize.ck_fast
+      done
+  | _ -> invalid_arg "checkpoint-loop PATH"
+
 let test_sigkill_mid_checkpoint_keeps_loadable () =
   with_temp_dir (fun dir ->
       let set = graph_shard_set ~dir ~per_shard:5 (graphs ~n:10 ~seed:13) in
@@ -450,25 +468,11 @@ let test_sigkill_mid_checkpoint_keeps_loadable () =
              m := Some model));
       let model = Option.get !m in
       let path = Filename.concat dir "ck.crf" in
-      let save () =
-        Crf.Serialize.checkpoint_save path ~config:crf_config ~next_it:1
-          ~next_shard:0 ~n_shards:(Corpus.Shard.n_shards set) ~jobs:1 model
-      in
-      save ();
+      Crf.Serialize.checkpoint_save path ~config:crf_config ~next_it:1
+        ~next_shard:0 ~n_shards:(Corpus.Shard.n_shards set) ~jobs:1 model;
       let golden = read_file path in
       for _round = 1 to 3 do
-        (match Unix.fork () with
-        | 0 ->
-            (try
-               while true do
-                 save ()
-               done
-             with _ -> ());
-            Unix._exit 1
-        | pid ->
-            ignore (Unix.select [] [] [] 0.05);
-            Unix.kill pid Sys.sigkill;
-            ignore (Unix.waitpid [] pid));
+        Child.kill_while_running "checkpoint-loop" [ path ];
         check_bool "checkpoint loads after SIGKILL mid-save" true
           (Result.is_ok (Crf.Serialize.checkpoint_load path));
         check_bool "file holds a complete checkpoint" true
@@ -476,6 +480,7 @@ let test_sigkill_mid_checkpoint_keeps_loadable () =
       done)
 
 let () =
+  Child.dispatch [ ("checkpoint-loop", checkpoint_loop) ];
   Alcotest.run "oocore"
     [
       ( "shards",

@@ -1,6 +1,6 @@
-(* Tests for CRF model serialization: byte-level escaping, structural
-   round-trips, and — the property that matters — identical predictions
-   from a saved-and-reloaded model. *)
+(* Tests for CRF and word2vec model serialization: structural
+   round-trips, corruption detection, and — the property that matters —
+   identical predictions from a saved-and-reloaded model. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -127,19 +127,6 @@ let test_malformed_input () =
       check_bool "corrupt-model diagnostic" true
         (diag_kind (Crf.Serialize.load path) = Lexkit.Diag.Corrupt_model))
 
-let test_unknown_record () =
-  with_temp_file ".crf" (fun path ->
-      write_file path "pigeon-crf-model 1\nfrobnicate 42\n";
-      match Crf.Serialize.load path with
-      | Ok _ -> Alcotest.fail "expected failure"
-      | Error d ->
-          check_bool "corrupt-model kind" true
-            (d.Lexkit.Diag.kind = Lexkit.Diag.Corrupt_model);
-          check_int "line number" 2
-            (match d.Lexkit.Diag.pos with
-            | Some p -> p.Lexkit.line
-            | None -> -1))
-
 let test_missing_file () =
   check_bool "io-error diagnostic" true
     (diag_kind (Crf.Serialize.load "/nonexistent/model.crf")
@@ -164,44 +151,92 @@ let test_trailing_garbage_detected () =
       check_bool "appended record is a corrupt-model error" true
         (diag_kind (Crf.Serialize.load path) = Lexkit.Diag.Corrupt_model))
 
-let save_v2 to_channel_v2 model path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> to_channel_v2 model oc)
+(* ---------- files from before version 4 ---------- *)
 
-let test_v2_compat () =
-  (* The v2 text writer is kept for fixtures; its output must still
-     load into an equivalent model. *)
-  let model = train () in
-  with_temp_file ".crf" (fun path ->
-      save_v2 Crf.Serialize.to_channel_v2 model path;
-      let model' = Crf.Serialize.load_exn path in
-      List.iter
-        (fun g ->
-          check_bool "v2 file predicts identically" true
-            (Crf.Train.predict model g = Crf.Train.predict model' g))
-        (graphs ~n:40 ~seed:10))
+(* Heads of files as the retired writers produced them: v1 and v2 were
+   line-oriented text (v1 without the "end N" trailer), v3 a binary
+   image of tagged sections. Only the magic line decides their fate. *)
+let crf_text_body =
+  "config 10 8 4 0 true perceptron global\nlabel done\nrel loop%20guard\n\
+   un 0 1.5\n"
 
-let test_v1_compat () =
-  (* A version-1 file is a version-2 file minus the trailer. *)
-  let model = train () in
+let crf_v1_file = "pigeon-crf-model 1\n" ^ crf_text_body
+let crf_v2_file = "pigeon-crf-model 2\n" ^ crf_text_body ^ "end 4\n"
+let crf_v3_file = "pigeon-crf-model 3\n\x01\x00\x00\x00\x2a\x00\x00\x00"
+
+let w2v_v2_file =
+  "pigeon-w2v-model 2\nconfig 2 5 5 0.025 1 0\nwords 1\nw done 3 0.5 -0.25\n\
+   contexts 1\nc loop%20ctx 3 0.125 1\nend 5\n"
+
+let w2v_v3_file = "pigeon-w2v-model 3\n\x01\x00\x00\x00\x30\x00\x00\x00"
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+(* [load] answers an old file with a [Corrupt_model] diagnostic that
+   carries the file name, names the version and says to retrain;
+   [of_string] answers its bytes the same way. *)
+let check_retired ~ext ~load ~of_string ~version contents =
+  let expect what ?file = function
+    | Ok _ -> Alcotest.failf "%s accepted a version-%d file" what version
+    | Error d ->
+        check_bool (what ^ ": corrupt-model kind") true
+          (d.Lexkit.Diag.kind = Lexkit.Diag.Corrupt_model);
+        check_bool (what ^ ": names the version") true
+          (contains d.Lexkit.Diag.msg (Printf.sprintf "version %d" version));
+        check_bool (what ^ ": says to retrain") true
+          (contains d.Lexkit.Diag.msg "retrain");
+        Option.iter
+          (fun f ->
+            check_bool (what ^ ": names the file") true
+              (d.Lexkit.Diag.file = Some f))
+          file
+  in
+  with_temp_file ext (fun path ->
+      write_file path contents;
+      expect "load" ~file:path (load path);
+      expect "of_string" (of_string contents))
+
+let crf_retired version contents () =
+  check_retired ~ext:".crf" ~load:Crf.Serialize.load
+    ~of_string:(fun s -> Crf.Serialize.of_string s)
+    ~version contents
+
+let w2v_retired version contents () =
+  check_retired ~ext:".w2v" ~load:Word2vec.Serialize.load
+    ~of_string:(fun s -> Word2vec.Serialize.of_string s)
+    ~version contents
+
+(* A magic line that is neither v4 nor a retired version — a future
+   version, or the other model kind — is plain bad magic: it must not
+   be mistaken for an old file that retraining would fix. *)
+let check_bad_magic load path =
+  match load path with
+  | Ok _ -> Alcotest.fail "expected a load failure"
+  | Error d ->
+      check_bool "corrupt-model kind" true
+        (d.Lexkit.Diag.kind = Lexkit.Diag.Corrupt_model);
+      check_bool "reported as bad magic" true (contains d.Lexkit.Diag.msg "bad magic");
+      check_bool "not reported as a retired version" false
+        (contains d.Lexkit.Diag.msg "retrain")
+
+let test_unknown_version () =
+  let bytes = Crf.Serialize.to_string (train ()) in
+  let nl = String.index bytes '\n' in
   with_temp_file ".crf" (fun path ->
-      save_v2 Crf.Serialize.to_channel_v2 model path;
-      let lines = String.split_on_char '\n' (read_file path) in
-      let v1 =
-        List.filter
-          (fun l -> not (String.length l >= 4 && String.sub l 0 4 = "end "))
-          lines
-        |> List.map (fun l ->
-               if l = "pigeon-crf-model 2" then "pigeon-crf-model 1" else l)
-        |> String.concat "\n"
-      in
-      write_file path v1;
-      let model' = Crf.Serialize.load_exn path in
-      let g = List.hd (graphs ~n:1 ~seed:11) in
-      check_bool "v1 file predicts identically" true
-        (Crf.Train.predict model g = Crf.Train.predict model' g))
+      write_file path
+        ("pigeon-crf-model 5" ^ String.sub bytes nl (String.length bytes - nl));
+      check_bad_magic Crf.Serialize.load path)
+
+let test_w2v_other_kind () =
+  (* a CRF model handed to the word2vec loader *)
+  with_temp_file ".crf" (fun path ->
+      Crf.Serialize.save (train ()) path;
+      check_bad_magic Word2vec.Serialize.load path)
 
 let test_v4_byte_identical_roundtrip () =
   let model = train () in
@@ -214,33 +249,17 @@ let test_v4_byte_identical_roundtrip () =
       check_bool "save(load(save)) is byte-identical" true
         (String.equal bytes (Crf.Serialize.to_string model')))
 
-let test_v3_compat () =
-  (* The v3 binary writer is kept for fixtures; its output must still
-     load into a model predicting identically. *)
-  let model = train () in
-  with_temp_file ".crf" (fun path ->
-      write_file path (Crf.Serialize.to_string_v3 model);
-      let model' = Crf.Serialize.load_exn path in
-      List.iter
-        (fun g ->
-          check_bool "v3 file predicts identically" true
-            (Crf.Train.predict model g = Crf.Train.predict model' g))
-        (graphs ~n:40 ~seed:13))
-
 let test_binary_midfile_corruption () =
   (* A single flipped bit deep inside a section payload is invisible
-     to the framing; the checksum trailer still rejects it — in both
-     binary generations. *)
+     to the framing; the checksum trailer still rejects it. *)
   let model = train () in
-  List.iter
-    (fun bytes ->
-      let b = Bytes.of_string bytes in
-      let i = String.length bytes / 2 in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-      check_bool "flipped payload bit is corrupt-model" true
-        (diag_kind (Crf.Serialize.of_string (Bytes.to_string b))
-        = Lexkit.Diag.Corrupt_model))
-    [ Crf.Serialize.to_string model; Crf.Serialize.to_string_v3 model ]
+  let bytes = Crf.Serialize.to_string model in
+  let b = Bytes.of_string bytes in
+  let i = String.length bytes / 2 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  check_bool "flipped payload bit is corrupt-model" true
+    (diag_kind (Crf.Serialize.of_string (Bytes.to_string b))
+    = Lexkit.Diag.Corrupt_model)
 
 let test_of_string_roundtrip () =
   let model = train () in
@@ -322,19 +341,6 @@ let test_w2v_truncation_detected () =
       check_bool "truncation is a corrupt-model error" true
         (diag_kind (Word2vec.Serialize.load path) = Lexkit.Diag.Corrupt_model))
 
-let test_w2v_v2_compat () =
-  let model =
-    Word2vec.Sgns.train
-      ~config:{ Word2vec.Sgns.default_config with Word2vec.Sgns.epochs = 10 }
-      (sgns_pairs ~n:800 ~seed:8)
-  in
-  with_temp_file ".w2v" (fun path ->
-      save_v2 Word2vec.Serialize.to_channel_v2 model path;
-      let model' = Word2vec.Serialize.load_exn path in
-      check_bool "v2 file ranks identically" true
-        (List.map fst (Word2vec.Sgns.predict model [ "loop ctx" ])
-        = List.map fst (Word2vec.Sgns.predict model' [ "loop ctx" ])))
-
 let test_w2v_v4_byte_identical_roundtrip () =
   let model =
     Word2vec.Sgns.train
@@ -351,19 +357,6 @@ let test_w2v_v4_byte_identical_roundtrip () =
         (String.equal bytes (Word2vec.Serialize.to_string model'));
       (* Binary floats round-trip exactly, not through decimal. *)
       check_bool "vectors bitwise identical" true
-        (model.Word2vec.Sgns.word_vecs = model'.Word2vec.Sgns.word_vecs
-        && model.Word2vec.Sgns.context_vecs = model'.Word2vec.Sgns.context_vecs))
-
-let test_w2v_v3_compat () =
-  let model =
-    Word2vec.Sgns.train
-      ~config:{ Word2vec.Sgns.default_config with Word2vec.Sgns.epochs = 2 }
-      (sgns_pairs ~n:300 ~seed:10)
-  in
-  with_temp_file ".w2v" (fun path ->
-      write_file path (Word2vec.Serialize.to_string_v3 model);
-      let model' = Word2vec.Serialize.load_exn path in
-      check_bool "v3 vectors bitwise identical" true
         (model.Word2vec.Sgns.word_vecs = model'.Word2vec.Sgns.word_vecs
         && model.Word2vec.Sgns.context_vecs = model'.Word2vec.Sgns.context_vecs))
 
@@ -414,26 +407,26 @@ let test_atomic_save_no_tmp_leftover () =
    to be. With atomic saves the target always holds a complete model:
    kill a child that overwrites the model in a tight loop, then load.
    One iteration only proves atomicity probabilistically; several kills
-   make a regression to in-place writes essentially certain to fail. *)
+   make a regression to in-place writes essentially certain to fail.
+   The child loads the model from the target and saves it back, which
+   rewrites the same bytes (save → load → save is byte-identical). *)
+let save_loop = function
+  | [ path ] ->
+      let model = Crf.Serialize.load_exn path in
+      Child.ready ();
+      while true do
+        Crf.Serialize.save model path
+      done
+  | _ -> invalid_arg "save-loop PATH"
+
 let test_atomic_save_survives_kill () =
   let model = train () in
   with_temp_file ".crf" (fun path ->
       Crf.Serialize.save model path;
       let golden = read_file path in
       for _round = 1 to 3 do
-        (match Unix.fork () with
-        | 0 ->
-            (try
-               while true do
-                 Crf.Serialize.save model path
-               done
-             with _ -> ());
-            Unix._exit 1
-        | pid ->
-            (* let the child get into the middle of a write *)
-            ignore (Unix.select [] [] [] 0.05);
-            Unix.kill pid Sys.sigkill;
-            ignore (Unix.waitpid [] pid));
+        (* let the child get into the middle of a write *)
+        Child.kill_while_running "save-loop" [ path ];
         check_bool "model intact after SIGKILL mid-save" true
           (match Crf.Serialize.load path with Ok _ -> true | Error _ -> false);
         check_bool "target holds a complete model" true
@@ -465,8 +458,9 @@ let suite =
         Alcotest.test_case "malformed input" `Quick test_w2v_malformed;
         Alcotest.test_case "truncation detected" `Quick test_w2v_truncation_detected;
         Alcotest.test_case "trailing garbage detected" `Quick test_w2v_trailing_garbage_detected;
-        Alcotest.test_case "v2 compatibility" `Quick test_w2v_v2_compat;
-        Alcotest.test_case "v3 compatibility" `Quick test_w2v_v3_compat;
+        Alcotest.test_case "v2 file rejected" `Quick (w2v_retired 2 w2v_v2_file);
+        Alcotest.test_case "v3 file rejected" `Quick (w2v_retired 3 w2v_v3_file);
+        Alcotest.test_case "CRF model rejected" `Quick test_w2v_other_kind;
         Alcotest.test_case "v4 byte-identical round-trip" `Quick
           test_w2v_v4_byte_identical_roundtrip;
       ] );
@@ -478,13 +472,13 @@ let suite =
         Alcotest.test_case "weights survive" `Quick test_weights_survive;
         Alcotest.test_case "double round-trip stable" `Quick test_double_roundtrip_stable;
         Alcotest.test_case "malformed input" `Quick test_malformed_input;
-        Alcotest.test_case "unknown record" `Quick test_unknown_record;
         Alcotest.test_case "missing file" `Quick test_missing_file;
         Alcotest.test_case "truncation detected" `Quick test_truncation_detected;
         Alcotest.test_case "trailing garbage detected" `Quick test_trailing_garbage_detected;
-        Alcotest.test_case "v1 compatibility" `Quick test_v1_compat;
-        Alcotest.test_case "v2 compatibility" `Quick test_v2_compat;
-        Alcotest.test_case "v3 compatibility" `Quick test_v3_compat;
+        Alcotest.test_case "v1 file rejected" `Quick (crf_retired 1 crf_v1_file);
+        Alcotest.test_case "v2 file rejected" `Quick (crf_retired 2 crf_v2_file);
+        Alcotest.test_case "v3 file rejected" `Quick (crf_retired 3 crf_v3_file);
+        Alcotest.test_case "unknown version rejected" `Quick test_unknown_version;
         Alcotest.test_case "v4 byte-identical round-trip" `Quick
           test_v4_byte_identical_roundtrip;
         Alcotest.test_case "binary mid-file corruption" `Quick
@@ -493,4 +487,6 @@ let suite =
       ] );
   ]
 
-let () = Alcotest.run "serialize" suite
+let () =
+  Child.dispatch [ ("save-loop", save_loop) ];
+  Alcotest.run "serialize" suite
