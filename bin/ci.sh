@@ -3,8 +3,10 @@
 # once as configured, then the whole suite again at PIGEON_JOBS=1 and
 # at PIGEON_JOBS=4, so every job-invariance contract is exercised
 # under real worker domains and a failure that depends on the host's
-# core count shows up on any host), a path-limit usage smoke (bad
-# --max-length / --max-width exit 2 without an exception), a bounded fuzz
+# core count shows up on any host), a usage-error smoke (bad
+# --max-length / --max-width / --files / --jobs / --max-heap-mb and
+# serve sizes, timeouts and ports exit 2 without an exception or any
+# output file), a bounded fuzz
 # pass over the front-ends and model loaders, the fault-injection
 # bench (10%-corrupt corpora must train with exact skip tallies), the
 # parallel-scaling bench (regenerates BENCH_parallel.json; determinism
@@ -53,23 +55,39 @@ dune runtest
 PIGEON_JOBS=1 dune runtest --force
 PIGEON_JOBS=4 dune runtest --force
 
-# ---- path-limit usage errors: exit 2, a message, no exception ----
+# ---- usage errors: exit 2, a message, no exception, no output ----
 LIMITS_DIR=$(mktemp -d /tmp/pigeon-ci-limits.XXXXXX)
 echo "var x = 1;" >"$LIMITS_DIR/a.js"
-for flag in --max-length=0 --max-width=-1; do
+for args in \
+  "paths --max-length=0 $LIMITS_DIR/a.js" \
+  "paths --max-width=-1 $LIMITS_DIR/a.js" \
+  "gen --files=-1 $LIMITS_DIR/gen" \
+  "gen --files=0 $LIMITS_DIR/gen" \
+  "train --files=-2 $LIMITS_DIR/m.crf" \
+  "train --files=0 $LIMITS_DIR/m.crf" \
+  "train --files=5 --jobs=0 $LIMITS_DIR/m.crf" \
+  "train --files=5 --jobs=-3 $LIMITS_DIR/m.crf" \
+  "train --files=5 --jobs=100000 $LIMITS_DIR/m.crf" \
+  "train --files=5 --shard-dir $LIMITS_DIR/shards --max-heap-mb=-1 $LIMITS_DIR/m.crf" \
+  "serve --model $LIMITS_DIR/a.js --socket $LIMITS_DIR/s.sock --jobs=0" \
+  "serve --model $LIMITS_DIR/a.js --socket $LIMITS_DIR/s.sock --max-batch=0" \
+  "serve --model $LIMITS_DIR/a.js --socket $LIMITS_DIR/s.sock --idle-timeout=-1" \
+  "serve --model $LIMITS_DIR/a.js --tcp=70000"
+do
   set +e
-  dune exec bin/pigeon_cli.exe -- paths "$flag" "$LIMITS_DIR/a.js" \
-    2>"$LIMITS_DIR/err"
+  # shellcheck disable=SC2086 # $args is a word list on purpose
+  dune exec bin/pigeon_cli.exe -- $args 2>"$LIMITS_DIR/err"
   rc=$?
   set -e
-  if [ "$rc" -ne 2 ] || grep -qi exception "$LIMITS_DIR/err"; then
-    echo "paths smoke: $flag gave exit $rc (want 2)" >&2
+  if [ "$rc" -ne 2 ] || grep -qi exception "$LIMITS_DIR/err" \
+    || [ -e "$LIMITS_DIR/m.crf" ] || [ -e "$LIMITS_DIR/gen" ]; then
+    echo "usage smoke: '$args' gave exit $rc (want 2, no output)" >&2
     cat "$LIMITS_DIR/err" >&2
     exit 1
   fi
 done
 rm -rf "$LIMITS_DIR"
-echo "paths limits smoke: ok"
+echo "usage-error smoke: ok"
 
 PIGEON_FUZZ_COUNT=400 dune exec test/test_fuzz.exe
 dune exec bench/main.exe -- --quick fault

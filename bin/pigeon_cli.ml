@@ -58,7 +58,30 @@ let jobs_arg =
           "Worker domains for parallel stages. Defaults to \
            $(b,PIGEON_JOBS) or the machine's core count.")
 
+(* Usage errors: one line on stderr and exit 2, checked before a value
+   reaches a constructor that would raise or quietly clamp it. *)
+let usage_error fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "error: %s@." msg;
+      exit 2)
+    fmt
+
+let check_at_least flag v floor =
+  if v < floor then usage_error "--%s must be >= %d, got %d" flag floor v
+
+let check_port = function
+  | Some p when p < 1 || p > 65535 ->
+      usage_error "--tcp must be a port between 1 and 65535, got %d" p
+  | _ -> ()
+
+let check_jobs = function
+  | Some n when n < 1 || n > Parallel.max_jobs ->
+      usage_error "--jobs must be between 1 and %d, got %d" Parallel.max_jobs n
+  | _ -> ()
+
 let pool_of_jobs jobs =
+  check_jobs jobs;
   (match jobs with Some n -> Parallel.set_default_jobs n | None -> ());
   let p = Parallel.get_pool () in
   if Parallel.jobs p > 1 then Some p else None
@@ -93,13 +116,8 @@ let width_arg =
 
 let paths_cmd =
   let run lang file max_length max_width =
-    (* usage errors (exit 2), checked before [Config.make] can raise *)
-    let below flag v floor =
-      Format.eprintf "error: --%s must be >= %d, got %d@." flag floor v;
-      exit 2
-    in
-    if max_length < 1 then below "max-length" max_length 1;
-    if max_width < 0 then below "max-width" max_width 0;
+    check_at_least "max-length" max_length 1;
+    check_at_least "max-width" max_width 0;
     handle_parse_errors @@ fun () ->
     let tree = lang.Pigeon.Lang.parse_tree (read_file file) in
     let idx = Ast.Index.build tree in
@@ -139,6 +157,7 @@ let gen_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR")
   in
   let run lang n seed dir =
+    check_at_least "files" n 1;
     handle_parse_errors @@ fun () ->
     let config = { Corpus.Gen.default with Corpus.Gen.n_files = n; seed } in
     let sources =
@@ -166,8 +185,9 @@ let rename_cmd =
       & info [ "train-files" ] ~doc:"Synthetic training corpus size.")
   in
   let run lang n jobs file =
-    handle_parse_errors @@ fun () ->
+    check_at_least "train-files" n 1;
     let pool = pool_of_jobs jobs in
+    handle_parse_errors @@ fun () ->
     let config = { Corpus.Gen.default with Corpus.Gen.n_files = n; seed = 42 } in
     let sources =
       Corpus.Gen.generate_sources config lang.Pigeon.Lang.render_lang
@@ -245,15 +265,15 @@ let train_cmd =
   let graphs_for_budget mb = max 16 (mb * 64) in
   let pairs_for_budget mb = max 1024 (mb * 2048) in
   let run lang n w2v shard_dir checkpoint resume max_heap_mb jobs out =
-    handle_parse_errors @@ fun () ->
+    check_at_least "files" n 1;
+    Option.iter (fun mb -> check_at_least "max-heap-mb" mb 1) max_heap_mb;
     (match (checkpoint, resume, shard_dir) with
     | Some _, _, None | None, true, _ ->
-        Format.eprintf
-          "error: --checkpoint needs --shard-dir, and --resume needs \
-           --checkpoint@.";
-        exit 2
+        usage_error
+          "--checkpoint needs --shard-dir, and --resume needs --checkpoint"
     | _ -> ());
     let pool = pool_of_jobs jobs in
+    handle_parse_errors @@ fun () ->
     let jobs_n = match pool with Some p -> Parallel.jobs p | None -> 1 in
     let records_per_shard =
       Option.map
@@ -425,7 +445,7 @@ let train_cmd =
       in
       Crf.Serialize.save model out;
       Format.printf "wrote %s (%d features)@." out
-        (Crf.Model.size (Lazy.force model.Crf.Train.weights))
+        (Crf.Model.size (Crf.Train.weights model))
     end
   in
   Cmd.v
@@ -570,6 +590,20 @@ let serve_cmd =
   let run model_path w2v_path named no_mmap max_mapped_bytes max_session_bytes
       socket tcp host jobs max_batch max_bytes max_depth max_steps max_queue
       max_conns idle_timeout =
+    check_jobs jobs;
+    check_port tcp;
+    check_at_least "max-batch" max_batch 1;
+    List.iter
+      (fun (flag, v) -> Option.iter (fun v -> check_at_least flag v 1) v)
+      [ ("max-input-bytes", max_bytes); ("max-depth", max_depth);
+        ("max-steps", max_steps) ];
+    List.iter
+      (fun (flag, v) -> check_at_least flag v 0)
+      [ ("max-mapped-bytes", max_mapped_bytes);
+        ("max-session-bytes", max_session_bytes); ("max-queue", max_queue);
+        ("max-conns", max_conns) ];
+    if not (idle_timeout >= 0.) then
+      usage_error "--idle-timeout must be >= 0, got %g" idle_timeout;
     if socket = None && tcp = None then begin
       Format.eprintf "error: pass --socket PATH and/or --tcp PORT@.";
       exit 2
@@ -810,6 +844,7 @@ let client_cmd =
      is gone". *)
   let run socket tcp host op lang word k model_name reload_model reload_w2v
       unload set_default timeout retries session_name edits file =
+    check_port tcp;
     let timeout = if timeout <= 0. then None else Some timeout in
     let retry =
       { Serve.Client.default_retry with

@@ -69,7 +69,6 @@ let delta_of m =
   }
 
 let symbols m = m.syms
-let get = Itbl.get
 let add = Itbl.add
 
 (* Fold one slice's deltas back into the model. Callers merge slices
@@ -185,19 +184,89 @@ let default_config =
     engine = Incremental;
   }
 
-let node_score m eg n assignment l =
-  let s = ref (get m.bias l) in
-  Array.iter
-    (fun fi ->
-      let a = eg.pw_a.(fi) and b = eg.pw_b.(fi) in
+(* Growable buffers for batched weight lookups: a scoring loop writes
+   every key it needs into [keys], fetches the weights with one
+   [Itbl.get_into] per table into [ws], and sums from there — no boxed
+   float per probe. [out] receives {!node_scores}' results. A scratch
+   serves one caller at a time. *)
+type scratch = {
+  mutable keys : int array;
+  mutable ws : float array;
+  mutable out : float array;
+}
+
+let scratch () = { keys = [||]; ws = [||]; out = [||] }
+
+let reserve sc n =
+  if Array.length sc.keys < n then begin
+    let cap = max n (2 * Array.length sc.keys) in
+    sc.keys <- Array.make cap 0;
+    sc.ws <- Array.make cap 0.
+  end
+
+(* The scores of labeling node [n] with each label of [cs], every other
+   node labeled as in [assignment], into [sc.out.(0 .. |cs| - 1)]. Per
+   candidate the sum runs bias, then pairwise factors in touch order,
+   then unary factors in touch order: the one float expression every
+   engine and the {!Scorer} cache reproduce bit for bit. *)
+let node_scores sc m eg n assignment cs =
+  let tp = eg.touch_pw.(n) and tu = eg.touch_un.(n) in
+  let np = Array.length tp and nu = Array.length tu and nc = Array.length cs in
+  (* key layout: pairwise at [c * np + j], unary from [un0], bias from
+     [bias0] *)
+  let un0 = nc * np in
+  let bias0 = un0 + (nc * nu) in
+  reserve sc (bias0 + nc);
+  if Array.length sc.out < nc then sc.out <- Array.make (max nc 32) 0.;
+  let keys = sc.keys and ws = sc.ws and out = sc.out in
+  for j = 0 to np - 1 do
+    let fi = tp.(j) in
+    let a = eg.pw_a.(fi) and b = eg.pw_b.(fi) and rel = eg.pw_rel.(fi) in
+    for c = 0 to nc - 1 do
+      let l = cs.(c) in
       let la = if a = n then l else assignment.(a) in
       let lb = if b = n then l else assignment.(b) in
-      s := !s +. (eg.pw_mult.(fi) *. get m.pw (pw_key la eg.pw_rel.(fi) lb)))
-    eg.touch_pw.(n);
-  Array.iter
-    (fun fi -> s := !s +. (eg.un_mult.(fi) *. get m.un (un_key l eg.un_rel.(fi))))
-    eg.touch_un.(n);
-  !s
+      keys.((c * np) + j) <- pw_key la rel lb
+    done
+  done;
+  for j = 0 to nu - 1 do
+    let rel = eg.un_rel.(tu.(j)) in
+    for c = 0 to nc - 1 do
+      keys.(un0 + (c * nu) + j) <- un_key cs.(c) rel
+    done
+  done;
+  Array.blit cs 0 keys bias0 nc;
+  Itbl.get_into m.pw keys ~pos:0 ~len:un0 ws;
+  Itbl.get_into m.un keys ~pos:un0 ~len:(nc * nu) ws;
+  Itbl.get_into m.bias keys ~pos:bias0 ~len:nc ws;
+  for c = 0 to nc - 1 do
+    let s = ref ws.(bias0 + c) in
+    for j = 0 to np - 1 do
+      s := !s +. (eg.pw_mult.(tp.(j)) *. ws.((c * np) + j))
+    done;
+    for j = 0 to nu - 1 do
+      s := !s +. (eg.un_mult.(tu.(j)) *. ws.(un0 + (c * nu) + j))
+    done;
+    out.(c) <- !s
+  done
+
+let node_score m eg n assignment l =
+  let sc = scratch () in
+  node_scores sc m eg n assignment [| l |];
+  sc.out.(0)
+
+(* First strictly-greater score wins, so ties keep the earlier
+   candidate; [dflt] when [cs] is empty. *)
+let argmax cs scores dflt =
+  let best = ref dflt and best_score = ref neg_infinity in
+  for c = 0 to Array.length cs - 1 do
+    let s = scores.(c) in
+    if s > !best_score then begin
+      best_score := s;
+      best := cs.(c)
+    end
+  done;
+  !best
 
 (* Incremental ICM scorer: caches every candidate's per-factor score
    contributions so a sweep only pays for what actually changed.
@@ -232,10 +301,12 @@ module Scorer = struct
                                 against; -1 = never computed *)
     sc : float array array;  (* per slot, per candidate: cached score *)
     dirty : bool array;
+    buf : scratch;  (* one column's keys and weights *)
   }
 
   let create m eg cand assignment =
     let k = Array.length eg.unknown in
+    let buf = scratch () in
     let npw = Array.make k 0
     and ncols = Array.make k 0
     and nb_of = Array.make k [||]
@@ -247,24 +318,32 @@ module Scorer = struct
       let n = eg.unknown.(i) in
       let tp = eg.touch_pw.(n) and tu = eg.touch_un.(n) in
       let np = Array.length tp and nu = Array.length tu in
-      let nc = Array.length cand.(i) in
+      let cs = cand.(i) in
+      let nc = Array.length cs in
       npw.(i) <- np;
       ncols.(i) <- np + nu;
       nb_of.(i) <-
         Array.map
           (fun fi -> if eg.pw_a.(fi) = n then eg.pw_b.(fi) else eg.pw_a.(fi))
           tp;
-      contrib.(i) <- Array.make (nc * (np + nu)) 0.;
-      bias_c.(i) <- Array.map (fun l -> get m.bias l) cand.(i);
+      let row = Array.make (nc * (np + nu)) 0. in
+      contrib.(i) <- row;
+      bias_c.(i) <- Array.make nc 0.;
+      Itbl.get_into m.bias cs ~pos:0 ~len:nc bias_c.(i);
       seen.(i) <- Array.make np (-1);
       sc.(i) <- Array.make nc 0.;
-      let row = contrib.(i) in
+      reserve buf (nc * nu);
+      let keys = buf.keys and ws = buf.ws in
       for c = 0 to nc - 1 do
-        let l = cand.(i).(c) in
+        for j = 0 to nu - 1 do
+          keys.((c * nu) + j) <- un_key cs.(c) eg.un_rel.(tu.(j))
+        done
+      done;
+      Itbl.get_into m.un keys ~pos:0 ~len:(nc * nu) ws;
+      for c = 0 to nc - 1 do
         let base = (c * (np + nu)) + np in
         for j = 0 to nu - 1 do
-          let fi = tu.(j) in
-          row.(base + j) <- eg.un_mult.(fi) *. get m.un (un_key l eg.un_rel.(fi))
+          row.(base + j) <- eg.un_mult.(tu.(j)) *. ws.((c * nu) + j)
         done
       done
     done;
@@ -281,6 +360,7 @@ module Scorer = struct
       seen;
       sc;
       dirty = Array.make k true;
+      buf;
     }
 
   let refresh t i =
@@ -291,6 +371,8 @@ module Scorer = struct
     let np = t.npw.(i) and nc = Array.length t.cand.(i) in
     let cols = t.ncols.(i) in
     let row = t.contrib.(i) and seen = t.seen.(i) and nbs = t.nb_of.(i) in
+    reserve t.buf nc;
+    let keys = t.buf.keys and ws = t.buf.ws in
     for j = 0 to np - 1 do
       let cur = t.assignment.(Array.unsafe_get nbs j) in
       if Array.unsafe_get seen j <> cur then begin
@@ -299,14 +381,16 @@ module Scorer = struct
         let rel = eg.pw_rel.(fi) and mult = eg.pw_mult.(fi) in
         if eg.pw_a.(fi) = n then
           for c = 0 to nc - 1 do
-            Array.unsafe_set row ((c * cols) + j)
-              (mult *. get t.m.pw (pw_key (Array.unsafe_get cs c) rel cur))
+            Array.unsafe_set keys c (pw_key (Array.unsafe_get cs c) rel cur)
           done
         else
           for c = 0 to nc - 1 do
-            Array.unsafe_set row ((c * cols) + j)
-              (mult *. get t.m.pw (pw_key cur rel (Array.unsafe_get cs c)))
-          done
+            Array.unsafe_set keys c (pw_key cur rel (Array.unsafe_get cs c))
+          done;
+        Itbl.get_into t.m.pw keys ~pos:0 ~len:nc ws;
+        for c = 0 to nc - 1 do
+          Array.unsafe_set row ((c * cols) + j) (mult *. Array.unsafe_get ws c)
+        done
       end
     done;
     let scores = t.sc.(i) and bias = t.bias_c.(i) in
@@ -338,17 +422,7 @@ module Scorer = struct
     end
     else begin
       if t.dirty.(i) then refresh t i;
-      let scores = t.sc.(i) in
-      let best = ref t.assignment.(n) and best_score = ref neg_infinity in
-      Array.iteri
-        (fun c l ->
-          let s = Array.unsafe_get scores c in
-          if s > !best_score then begin
-            best_score := s;
-            best := l
-          end)
-        cs;
-      !best
+      argmax cs t.sc.(i) t.assignment.(n)
     end
 
   let set_label t i l =
@@ -437,22 +511,15 @@ let map_assignment ?cand cfg cands m eg ~force_gold ~seed =
   (match cfg.engine with
   | Full_rescore ->
       (* Reference engine: rescore every candidate of every node from
-         scratch, every sweep. Kept verbatim as the golden baseline the
-         incremental engine is tested byte-identical against. *)
+         scratch, every sweep — the golden baseline the incremental
+         engine is tested byte-identical against. *)
+      let buf = scratch () in
       let best i n =
         let cs = cand.(i) in
         if Array.length cs = 0 then assignment.(n)
         else begin
-          let best = ref assignment.(n) and best_score = ref neg_infinity in
-          Array.iter
-            (fun l ->
-              let s = node_score m eg n assignment l in
-              if s > !best_score then begin
-                best_score := s;
-                best := l
-              end)
-            cs;
-          !best
+          node_scores buf m eg n assignment cs;
+          argmax cs buf.out assignment.(n)
         end
       in
       Array.iteri (fun i n -> assignment.(n) <- best i n) eg.unknown;
@@ -504,20 +571,15 @@ let map_assignment ?cand cfg cands m eg ~force_gold ~seed =
    per factor occurrence, restricted to factors touching an unknown.
    Writes go to [wr]: the model itself when training sequentially, a
    per-domain delta when a parallel pass accumulates updates. *)
+let[@inline] upd_avg tbl tbl_u t k d =
+  add tbl k d;
+  add tbl_u k (t *. d)
+
 let update wr eg ~gold ~pred =
   let t = float_of_int wr.steps in
-  let upd_pw k d =
-    add wr.pw k d;
-    add wr.pw_u k (t *. d)
-  in
-  let upd_un k d =
-    add wr.un k d;
-    add wr.un_u k (t *. d)
-  in
-  let upd_bias k d =
-    add wr.bias k d;
-    add wr.bias_u k (t *. d)
-  in
+  let upd_pw k d = upd_avg wr.pw wr.pw_u t k d in
+  let upd_un k d = upd_avg wr.un wr.un_u t k d in
+  let upd_bias k d = upd_avg wr.bias wr.bias_u t k d in
   Array.iteri
     (fun fi a ->
       let b = eg.pw_b.(fi) in
@@ -548,70 +610,53 @@ let update wr eg ~gold ~pred =
       end)
     eg.unknown
 
-(* Pseudolikelihood-style perceptron: each unknown node is scored with
-   every *other* node clamped to gold; a wrong local argmax updates only
-   the factors touching that node. Pairwise weights are thus estimated
-   against correct neighborhoods — far more stable than learning from
-   the joint MAP's own mistakes — while test-time inference stays joint
-   (ICM). Cf. the pseudolikelihood training classically used for CRFs. *)
 (* Mistake-driven pseudolikelihood perceptron: each unknown node is
    scored with every other node clamped to gold; a wrong local argmax
-   updates only the factors touching that node. Scores read [rd],
-   updates land in [wr]; sequential training passes the same model for
-   both (updates are visible immediately, the historical behavior),
-   parallel passes read the round-start model and write a delta. *)
-let pseudo_perceptron_pass ~rd ~wr eg ~cand =
+   updates only the factors touching that node. Pairwise weights are
+   thus estimated against correct neighborhoods — far more stable than
+   learning from the joint MAP's own mistakes — while test-time
+   inference stays joint (ICM). Scores read [rd], updates land in [wr];
+   sequential training passes the same model for both (updates are
+   visible immediately, the historical behavior), parallel passes read
+   the round-start model and write a delta. *)
+let pseudo_perceptron_pass ~rd ~wr ~buf eg ~cand =
   let gold = eg.gold in
-  Array.iteri
-    (fun i n ->
-      let cs = cand.(i) in
-      if Array.length cs > 0 then begin
-        wr.steps <- wr.steps + 1;
-        let best = ref gold.(n) and best_score = ref neg_infinity in
-        Array.iter
-          (fun l ->
-            let sc = node_score rd eg n gold l in
-            if sc > !best_score then begin
-              best_score := sc;
-              best := l
-            end)
-          cs;
-        let p = !best in
-        if p <> gold.(n) then begin
-          let t = float_of_int wr.steps in
-          let upd tbl tbl_u k d =
-            add tbl k d;
-            add tbl_u k (t *. d)
+  for i = 0 to Array.length eg.unknown - 1 do
+    let n = eg.unknown.(i) in
+    let cs = cand.(i) in
+    if Array.length cs > 0 then begin
+      wr.steps <- wr.steps + 1;
+      node_scores buf rd eg n gold cs;
+      let p = argmax cs buf.out gold.(n) in
+      if p <> gold.(n) then begin
+        let t = float_of_int wr.steps in
+        let tp = eg.touch_pw.(n) and tu = eg.touch_un.(n) in
+        for j = 0 to Array.length tp - 1 do
+          let fi = tp.(j) in
+          let a = eg.pw_a.(fi) and b = eg.pw_b.(fi) in
+          let r = eg.pw_rel.(fi) and mult = eg.pw_mult.(fi) in
+          let kg = pw_key gold.(a) r gold.(b) in
+          let kp =
+            pw_key (if a = n then p else gold.(a)) r (if b = n then p else gold.(b))
           in
-          Array.iter
-            (fun fi ->
-              let a = eg.pw_a.(fi) and b = eg.pw_b.(fi) in
-              let r = eg.pw_rel.(fi) and mult = eg.pw_mult.(fi) in
-              let kg = pw_key gold.(a) r gold.(b) in
-              let kp =
-                pw_key
-                  (if a = n then p else gold.(a))
-                  r
-                  (if b = n then p else gold.(b))
-              in
-              if kg <> kp then begin
-                upd wr.pw wr.pw_u kg mult;
-                upd wr.pw wr.pw_u kp (-.mult)
-              end)
-            eg.touch_pw.(n);
-          Array.iter
-            (fun fi ->
-              let r = eg.un_rel.(fi) and mult = eg.un_mult.(fi) in
-              upd wr.un wr.un_u (un_key gold.(n) r) mult;
-              upd wr.un wr.un_u (un_key p r) (-.mult))
-            eg.touch_un.(n);
-          upd wr.bias wr.bias_u gold.(n) 1.;
-          upd wr.bias wr.bias_u p (-1.)
-        end
-      end)
-    eg.unknown
+          if kg <> kp then begin
+            upd_avg wr.pw wr.pw_u t kg mult;
+            upd_avg wr.pw wr.pw_u t kp (-.mult)
+          end
+        done;
+        for j = 0 to Array.length tu - 1 do
+          let fi = tu.(j) in
+          let r = eg.un_rel.(fi) and mult = eg.un_mult.(fi) in
+          upd_avg wr.un wr.un_u t (un_key gold.(n) r) mult;
+          upd_avg wr.un wr.un_u t (un_key p r) (-.mult)
+        done;
+        upd_avg wr.bias wr.bias_u t gold.(n) 1.;
+        upd_avg wr.bias wr.bias_u t p (-1.)
+      end
+    end
+  done
 
-let pseudo_gradient_pass ~rd ~wr eg ~cand ~lr =
+let pseudo_gradient_pass ~rd ~wr ~buf eg ~cand ~lr =
   let gold = eg.gold in
   Array.iteri
     (fun i n ->
@@ -625,7 +670,8 @@ let pseudo_gradient_pass ~rd ~wr eg ~cand ~lr =
            inherently ambiguous examples (name synonyms) the weights
            converge to log-odds rather than oscillating between the
            synonyms. *)
-        let scores = Array.map (fun l -> node_score rd eg n gold l) cs in
+        node_scores buf rd eg n gold cs;
+        let scores = Array.sub buf.out 0 k in
         let gold_in = Array.exists (fun l -> l = gold.(n)) cs in
         let scores, cs =
           if gold_in then (scores, cs)
@@ -779,11 +825,13 @@ let mode_of cfg it =
   | Mixed -> if it >= cfg.iterations - 2 then `Structured else `Pl
 
 (* One graph's contribution to one pass. Reads weights from [rd],
-   writes updates (and step advances) into [wr]. *)
-let run_graph_pass cfg cands ~rd ~wr ~mode ~it ~cand eg =
+   writes updates (and step advances) into [wr]. [buf] is the caller's
+   scoring scratch, kept across graphs so it grows once to the largest
+   node instead of being reallocated per graph. *)
+let run_graph_pass cfg cands ~rd ~wr ~buf ~mode ~it ~cand eg =
   match mode with
-  | `Pl -> pseudo_perceptron_pass ~rd ~wr eg ~cand
-  | `Grad -> pseudo_gradient_pass ~rd ~wr eg ~cand ~lr:0.2
+  | `Pl -> pseudo_perceptron_pass ~rd ~wr ~buf eg ~cand
+  | `Grad -> pseudo_gradient_pass ~rd ~wr ~buf eg ~cand ~lr:0.2
   | `Structured ->
       (* Time advances once per example — the textbook averaged
          perceptron; counting only mistakes would under-weight
@@ -820,12 +868,14 @@ let round_graphs_per_domain = 4
 let run_pass ?pool cfg cands m ~mode ~it ~egs ~cand_cache ~order =
   let jobs = match pool with Some p -> Parallel.jobs p | None -> 1 in
   let n = Array.length order in
-  if jobs <= 1 || n <= 1 then
+  if jobs <= 1 || n <= 1 then begin
+    let buf = scratch () in
     Array.iter
       (fun gi ->
-        run_graph_pass cfg cands ~rd:m ~wr:m ~mode ~it ~cand:cand_cache.(gi)
-          egs.(gi))
+        run_graph_pass cfg cands ~rd:m ~wr:m ~buf ~mode ~it
+          ~cand:cand_cache.(gi) egs.(gi))
       order
+  end
   else begin
     (* Parallel pass: synchronized rounds over the shuffled order.
        Each domain trains a contiguous slice of the round against
@@ -849,11 +899,11 @@ let run_pass ?pool cfg cands m ~mode ~it ~egs ~cand_cache ~order =
       let deltas =
         Parallel.map ?pool
           (fun (lo, hi) ->
-            let wr = delta_of m in
+            let wr = delta_of m and buf = scratch () in
             for k = base + lo to base + hi do
               let gi = order.(k) in
               wr.steps <- prefix.(k);
-              run_graph_pass cfg cands ~rd:m ~wr ~mode ~it
+              run_graph_pass cfg cands ~rd:m ~wr ~buf ~mode ~it
                 ~cand:cand_cache.(gi) egs.(gi)
             done;
             wr)

@@ -36,12 +36,20 @@ val ensure_verified : t -> unit
 (** Run the pending [verify] closure of a mapped table (idempotent;
     no-op on heap tables). Called by {!Fast} at inference entry points
     so corruption in a lazily-mapped payload surfaces as a structured
-    diagnostic before any value is trusted. *)
+    diagnostic before any value is trusted. Safe to call from several
+    threads at once: the first call verifies under a lock, and the
+    others wait for it. *)
 
 val storage : t -> [ `Heap | `Mapped ]
 
 val get : t -> int -> float
 (** [get t k] is the value bound to [k], or [0.] when unbound. *)
+
+val get_into : t -> int array -> pos:int -> len:int -> float array -> unit
+(** [get_into t keys ~pos ~len out] stores [get t keys.(j)] into
+    [out.(j)] for [pos <= j < pos + len]: a batch of lookups in one
+    call, with no float boxed on the way. Raises [Invalid_argument]
+    when the range does not fit both arrays. *)
 
 val add : t -> int -> float -> unit
 (** [add t k d] accumulates [d] onto the binding for [k], creating it
@@ -55,3 +63,8 @@ val set : t -> int -> float -> unit
 val iter : (int -> float -> unit) -> t -> unit
 val fold : (int -> float -> 'a -> 'a) -> t -> 'a -> 'a
 val length : t -> int
+
+val mean_probe_length : t -> float
+(** Mean number of slots a lookup of a bound key inspects (1.0 is
+    every key in its home slot); [0.] on an empty table. A mapped
+    table reports its probe index. *)

@@ -116,7 +116,7 @@ let to_string (model : Train.model) =
   weights 4 d.Fast.d_pw;
   weights 5 d.Fast.d_un;
   weights 6 d.Fast.d_bias;
-  let global, unary, pairwise = Candidates.dump_ids (Lazy.force model.Train.candidates) in
+  let global, unary, pairwise = Candidates.dump_ids (Train.candidates model) in
   section 7 (fun b ->
       w_int b (List.length global);
       List.iter

@@ -11,19 +11,32 @@ let rel_bits = 24
 let max_labels = 1 lsl label_bits
 let max_rels = 1 lsl rel_bits
 
-type t = { labels : Intern.Strtab.t; rels : Intern.Strtab.t }
+type t = {
+  labels : Intern.Strtab.t;
+  rels : Intern.Strtab.t;
+  lock : Mutex.t;
+      (* Held while a new string is interned, so systhreads sharing a
+         model (each [predict] interns its graph's strings) never
+         hand one id to two strings. Lookups of known strings take no
+         lock: between polls a [Strtab] is always consistent. *)
+}
 
 let create () =
   {
     labels = Intern.Strtab.create ~hint:256 ();
     rels = Intern.Strtab.create ~hint:256 ();
+    lock = Mutex.create ();
   }
 
-let label t s =
-  Intern.Strtab.intern_guarded t.labels ~limit:max_labels ~what:"CRF label" s
+let intern t tab ~limit ~what s =
+  match Intern.Strtab.find tab s with
+  | Some id -> id
+  | None ->
+      Mutex.protect t.lock (fun () ->
+          Intern.Strtab.intern_guarded tab ~limit ~what s)
 
-let rel t s =
-  Intern.Strtab.intern_guarded t.rels ~limit:max_rels ~what:"CRF relation" s
+let label t s = intern t t.labels ~limit:max_labels ~what:"CRF label" s
+let rel t s = intern t t.rels ~limit:max_rels ~what:"CRF relation" s
 
 let find_label t s = Intern.Strtab.find t.labels s
 let find_rel t s = Intern.Strtab.find t.rels s
@@ -48,4 +61,5 @@ let of_snapshot s =
   {
     labels = Intern.Strtab.of_snapshot s.s_labels;
     rels = Intern.Strtab.of_snapshot s.s_rels;
+    lock = Mutex.create ();
   }

@@ -32,6 +32,18 @@ type model = {
   fast : Fast.model;
 }
 
+(* Two systhreads forcing one lazy at once raise
+   [CamlinternalLazy.Undefined], so every force runs under a lock. No
+   unlocked fast path: [Lazy.is_val] is already true while another
+   thread is still forcing. Neither body forces another model field, so
+   one lock for every model cannot deadlock; a read is one uncontended
+   lock per call, not per graph node. *)
+let force_lock = Mutex.create ()
+let force l = Mutex.protect force_lock (fun () -> Lazy.force l)
+
+let weights m = force m.weights
+let candidates m = force m.candidates
+
 let fast_config config =
   {
     Fast.default_config with
@@ -83,14 +95,14 @@ let train_of_shards ?pool ?(config = default_config) ~n_shards
   }
 
 let predict model g =
-  Fast.predict (fast_config model.config) (Lazy.force model.candidates) model.fast g
+  Fast.predict (fast_config model.config) (candidates model) model.fast g
 
 let predict_batch ?pool model graphs =
-  Fast.predict_batch ?pool (fast_config model.config) (Lazy.force model.candidates)
+  Fast.predict_batch ?pool (fast_config model.config) (candidates model)
     model.fast graphs
 
 let top_k model g ~node ~k =
-  Fast.top_k (fast_config model.config) (Lazy.force model.candidates) model.fast g ~node ~k
+  Fast.top_k (fast_config model.config) (candidates model) model.fast g ~node ~k
 
 let accuracy ?pool model graphs =
   let preds = predict_batch ?pool model graphs in
@@ -114,7 +126,7 @@ let oov_rate model graphs =
       List.iter
         (fun n ->
           incr total;
-          if Candidates.label_count (Lazy.force model.candidates) gold.(n) = 0 then incr oov)
+          if Candidates.label_count (candidates model) gold.(n) = 0 then incr oov)
         (Graph.unknown_ids g))
     graphs;
   if !total = 0 then 0. else float_of_int !oov /. float_of_int !total

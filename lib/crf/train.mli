@@ -33,14 +33,22 @@ type model = {
           table for inspection; prediction runs on the int-encoded
           {!Fast.model} below. Lazy because decoding to string
           features dominates model-load time and inference never
-          reads it. *)
+          reads it. Read it with {!weights}. *)
   candidates : Candidates.t Lazy.t;
       (** Lazy for the same reason: a mapped load defers parsing (and
           checksumming) the candidate sections to first use, and the
-          trainer already has them in hand. *)
+          trainer already has them in hand. Read it with
+          {!candidates}. *)
   config : config;
   fast : Fast.model;
 }
+
+val weights : model -> Model.t
+val candidates : model -> Candidates.t
+(** Force the model's {!field-weights} or {!field-candidates}. Safe to
+    call from several systhreads or domains at once on a freshly loaded
+    model, which a bare [Lazy.force] is not; every function below reads
+    the fields this way. *)
 
 val train : ?pool:Parallel.pool -> ?config:config -> Graph.t list -> model
 (** Without [pool], the sequential trainer (byte-identical to previous

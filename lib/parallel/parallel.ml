@@ -19,7 +19,8 @@ type pool = {
   mutable workers : unit Domain.t list;
 }
 
-let clamp_jobs n = if n < 1 then 1 else if n > 128 then 128 else n
+let max_jobs = 128
+let clamp_jobs n = if n < 1 then 1 else if n > max_jobs then max_jobs else n
 
 let env_jobs () =
   match Sys.getenv_opt "PIGEON_JOBS" with

@@ -36,6 +36,10 @@ exception Missing_result of { chunk : int; index : int }
     Worker exceptions are {e not} reported this way: they re-raise with
     their original backtrace (see {!map}). *)
 
+val max_jobs : int
+(** The largest job count a pool takes (128); {!create} and
+    {!set_default_jobs} clamp larger requests to it. *)
+
 val default_jobs : unit -> int
 (** Effective job count for new default pools: the [PIGEON_JOBS]
     environment variable if set to a positive integer, any
@@ -50,7 +54,7 @@ val set_default_jobs : int -> unit
 
 val create : ?jobs:int -> unit -> pool
 (** A fresh pool with [jobs] workers (default {!default_jobs}),
-    clamped to [1, 128]. A pool of [n] jobs spawns [n - 1] domains:
+    clamped to [1, {!max_jobs}]. A pool of [n] jobs spawns [n - 1] domains:
     the calling domain is the n-th worker while a batch runs. *)
 
 val jobs : pool -> int

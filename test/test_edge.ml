@@ -145,7 +145,7 @@ let test_graph_no_unknowns () =
 
 let test_train_on_empty () =
   let model = Crf.Train.train [] in
-  check_int "no labels" 0 (Crf.Candidates.num_labels (Lazy.force model.Crf.Train.candidates))
+  check_int "no labels" 0 (Crf.Candidates.num_labels (Crf.Train.candidates model))
 
 let test_duplicate_role_pair () =
   (* Two locals of the same role in one function must still both get

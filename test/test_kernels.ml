@@ -372,6 +372,85 @@ let test_most_similar_scores () =
        (List.filteri (fun i _ -> i < 4) scores)
        (List.tl scores))
 
+(* ---------- weight-table probing ---------- *)
+
+(* Pairwise weight keys as [Fast.pw_key] packs them: label [la] in
+   bits 42-59, relation in bits 18-41, label [lb] in bits 0-17. A
+   node's candidates differ only in [la] when the node is the factor's
+   [a] end, so keys that vary in the high label bits alone are exactly
+   the lookups ICM makes. 24 labels x 2000 (rel, lb) pairs. *)
+let label_varying_keys () =
+  let keys = ref [] in
+  for p = 0 to 1999 do
+    let rel = 1 + (p * 7 mod 997) and lb = p * 13 mod 4001 in
+    for la = 0 to 23 do
+      keys := ((la lsl 42) lor (rel lsl 18) lor lb) :: !keys
+    done
+  done;
+  Array.of_list (List.sort_uniq Int.compare !keys)
+
+let probe_bound = 2.0
+
+let test_itbl_probe_heap () =
+  let keys = label_varying_keys () in
+  let t = Crf.Itbl.create 16 in
+  Array.iteri (fun j k -> Crf.Itbl.set t k (float_of_int j)) keys;
+  let mean = Crf.Itbl.mean_probe_length t in
+  if mean > probe_bound then
+    Alcotest.failf "heap table: mean probe length %.2f > %.1f" mean
+      probe_bound;
+  check_bool "every key found" true
+    (Array.for_all
+       (fun j -> Crf.Itbl.get t keys.(j) = float_of_int j)
+       (Array.init (Array.length keys) Fun.id))
+
+let test_itbl_probe_mapped () =
+  let keys = label_varying_keys () in
+  let vals =
+    Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout
+      (Array.mapi (fun j _ -> float_of_int j) keys)
+  in
+  let t = Crf.Itbl.of_sorted_mapped ~keys ~vals ~verify:(fun () -> ()) in
+  Crf.Itbl.ensure_verified t;
+  let mean = Crf.Itbl.mean_probe_length t in
+  if mean > probe_bound then
+    Alcotest.failf "mapped table: mean probe length %.2f > %.1f" mean
+      probe_bound;
+  check_bool "every key found" true
+    (Array.for_all
+       (fun j -> Crf.Itbl.get t keys.(j) = float_of_int j)
+       (Array.init (Array.length keys) Fun.id))
+
+(* The batch lookup the scoring loops use answers exactly as [get]:
+   bound keys, unbound keys, on heap and mapped tables, at an offset. *)
+let test_itbl_get_into () =
+  let keys = label_varying_keys () in
+  let bound = Array.sub keys 0 5000 in
+  let heap = Crf.Itbl.create 16 in
+  Array.iteri (fun j k -> Crf.Itbl.set heap k (0.5 +. float_of_int j)) bound;
+  let mapped =
+    Crf.Itbl.of_sorted_mapped ~keys:bound
+      ~vals:
+        (Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout
+           (Array.mapi (fun j _ -> 0.5 +. float_of_int j) bound))
+      ~verify:(fun () -> ())
+  in
+  let probes = Array.init 8000 (fun j -> keys.((j * 7919) mod Array.length keys)) in
+  List.iter
+    (fun (what, t) ->
+      let out = Array.make 8000 nan in
+      Crf.Itbl.get_into t probes ~pos:3 ~len:7990 out;
+      for j = 0 to 7999 do
+        let want = if j < 3 || j >= 7993 then nan else Crf.Itbl.get t probes.(j) in
+        if Int64.bits_of_float out.(j) <> Int64.bits_of_float want then
+          Alcotest.failf "%s: get_into slot %d = %h, want %h" what j out.(j) want
+      done)
+    [ ("heap", heap); ("mapped", mapped) ];
+  check_bool "out-of-range batch refused" true
+    (match Crf.Itbl.get_into heap probes ~pos:1 ~len:8000 (Array.make 8000 0.) with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "kernels"
     [
@@ -386,6 +465,15 @@ let () =
           Alcotest.test_case "forced-candidate dedup spec" `Quick
             test_forced_dedup;
           QCheck_alcotest.to_alcotest prop_scorer_matches_node_score;
+        ] );
+      ( "itbl",
+        [
+          Alcotest.test_case "probe length: label-varying keys (heap)" `Quick
+            test_itbl_probe_heap;
+          Alcotest.test_case "probe length: label-varying keys (mapped)" `Quick
+            test_itbl_probe_mapped;
+          Alcotest.test_case "get_into = get (heap and mapped)" `Quick
+            test_itbl_get_into;
         ] );
       ( "sgns",
         [

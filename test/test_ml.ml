@@ -212,14 +212,14 @@ let test_inference_improves_score () =
       let pred = Crf.Train.predict model g in
       (* MAP score at least as good as the initial greedy default. *)
       let default =
-        match Crf.Candidates.global_top (Lazy.force model.Crf.Train.candidates) 1 with
+        match Crf.Candidates.global_top (Crf.Train.candidates model) 1 with
         | [ l ] -> l
         | _ -> "?"
       in
       let init = Crf.Graph.initial_assignment g ~default in
       check_bool "map >= init" true
-        (Crf.Model.score (Lazy.force model.Crf.Train.weights) g pred
-        >= Crf.Model.score (Lazy.force model.Crf.Train.weights) g init -. 1e-9))
+        (Crf.Model.score (Crf.Train.weights model) g pred
+        >= Crf.Model.score (Crf.Train.weights model) g init -. 1e-9))
     (synth_graphs ~n:20 ~seed:6)
 
 (* ---------- property tests for CRF ---------- *)
@@ -343,7 +343,7 @@ let test_export_weights () =
      in a clamped-neighbors local scoring, matching the fast engine. *)
   let graphs = synth_graphs ~n:300 ~seed:12 in
   let model = Crf.Train.train ~config:clean_config graphs in
-  check_bool "weights nonempty" true (Crf.Model.size (Lazy.force model.Crf.Train.weights) > 0);
+  check_bool "weights nonempty" true (Crf.Model.size (Crf.Train.weights model) > 0);
   let correct = ref 0 and total = ref 0 in
   List.iter
     (fun g ->
@@ -353,14 +353,14 @@ let test_export_weights () =
         (fun n ->
           incr total;
           let cs =
-            Crf.Candidates.for_node (Lazy.force model.Crf.Train.candidates) g touching.(n) n
+            Crf.Candidates.for_node (Crf.Train.candidates model) g touching.(n) n
               ~max:10
           in
           let best =
             List.fold_left
               (fun (bl, bs) l ->
                 let s =
-                  Crf.Model.node_score (Lazy.force model.Crf.Train.weights) g touching.(n) n
+                  Crf.Model.node_score (Crf.Train.weights model) g touching.(n) n
                     gold ~label:l
                 in
                 if s > bs then (l, s) else (bl, bs))

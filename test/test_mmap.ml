@@ -341,6 +341,68 @@ let test_w2v_old_versions_rejected () =
         ~load_mapped:Word2vec.Serialize.load_mapped path
         (Word2vec.Serialize.to_string model))
 
+(* ---------- sharing a fresh model across systhreads ---------- *)
+
+let js_graphs ~n ~seed =
+  let config = { Corpus.Gen.default with Corpus.Gen.n_files = n; seed } in
+  let repr =
+    Pigeon.Graphs.default_repr ~config:Pigeon.Lang.javascript.Pigeon.Lang.tuned ()
+  in
+  Pigeon.Task.graphs_of_sources ~repr ~lang:Pigeon.Lang.javascript
+    ~policy:Pigeon.Graphs.Locals
+    (Corpus.Gen.generate_sources config Corpus.Render.Js)
+
+(* Four systhreads start on one freshly mapped model at once: each
+   forces its lazily decoded weights and predicts every graph, so the
+   first forces of [weights], [candidates] and the deferred checksums
+   overlap, and unseen identifiers are interned concurrently. Every
+   thread must see exactly the sequential predictions, over several
+   fresh loads. *)
+let test_crf_threads_share_fresh_model () =
+  let model = Crf.Train.train (js_graphs ~n:60 ~seed:3) in
+  let test_graphs = js_graphs ~n:20 ~seed:4 in
+  with_temp_file ".crf" (fun path ->
+      Crf.Serialize.save model path;
+      let reference =
+        let m, _ = load_mapped_exn path in
+        List.map (Crf.Train.predict m) test_graphs
+      in
+      let features = Crf.Model.size (Crf.Train.weights model) in
+      for _round = 1 to 4 do
+        let fresh, _ = load_mapped_exn path in
+        let go = Atomic.make false in
+        let results = Array.make 4 (Error "not run") in
+        let threads =
+          Array.init 4 (fun t ->
+              Thread.create
+                (fun () ->
+                  while not (Atomic.get go) do
+                    Thread.yield ()
+                  done;
+                  results.(t) <-
+                    (match
+                       ( Crf.Model.size (Crf.Train.weights fresh),
+                         List.map (Crf.Train.predict fresh) test_graphs )
+                     with
+                    | n, preds -> Ok (n, preds)
+                    | exception e -> Error (Printexc.to_string e)))
+                ())
+        in
+        Atomic.set go true;
+        Array.iter Thread.join threads;
+        Array.iteri
+          (fun t r ->
+            match r with
+            | Ok (n, preds) ->
+                check_int (Printf.sprintf "thread %d: feature count" t)
+                  features n;
+                check_bool
+                  (Printf.sprintf "thread %d: sequential predictions" t)
+                  true (preds = reference)
+            | Error e -> Alcotest.failf "thread %d raised %s" t e)
+          results
+      done)
+
 let suite =
   [
     ( "crf-mapped",
@@ -354,6 +416,8 @@ let suite =
           test_crf_old_versions_rejected;
         Alcotest.test_case "mapped tables read-only" `Quick
           test_itbl_mapped_read_only;
+        Alcotest.test_case "fresh model shared by 4 threads" `Quick
+          test_crf_threads_share_fresh_model;
       ] );
     ( "crf-corruption",
       [
